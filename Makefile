@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race smoke serve-smoke loadtest crash-smoke crash-soak fuzz-smoke profile-smoke layout-smoke jit-smoke determinism concurrency soak-short soak bench bench-exec bench-batch bench-record clean
+.PHONY: check vet build test race smoke serve-smoke loadtest crash-smoke crash-soak fuzz-smoke profile-smoke layout-smoke engine-diff determinism concurrency soak-short soak bench bench-exec bench-batch bench-record clean
 
 # check is the tier-1 gate (see ROADMAP.md): static analysis, a full
 # build, the race-enabled test suite, the race-enabled concurrency
@@ -10,12 +10,12 @@ GO ?= go
 # soak through the differential oracle, an end-to-end smoke of the
 # source-line cycle profiler's three artifact formats, the !HPF$
 # distribution-plane layout sweep (oracle-verified, deterministic, and
-# the layout choice must matter), the compiled-executor bit-identity
-# smoke (SWE + the layout kernel trio, interpreter vs JIT, plus an
-# oracle-verified JIT run), the f90yd server lifecycle smoke (start,
+# the layout choice must matter), the PEAC engine differential (every
+# workload kernel on both machine shapes, engine vs the reference
+# interpreter kept in the tests), the f90yd server lifecycle smoke (start,
 # load, overload, SIGTERM drain), and the durability-plane crash smoke
 # (SIGKILL mid-load, relaunch, bit-identical recovery).
-check: vet build race concurrency smoke fuzz-smoke determinism soak-short profile-smoke layout-smoke jit-smoke serve-smoke crash-smoke
+check: vet build race concurrency smoke fuzz-smoke determinism soak-short profile-smoke layout-smoke engine-diff serve-smoke crash-smoke
 
 vet:
 	$(GO) vet ./...
@@ -37,15 +37,17 @@ race:
 # identity, cancellation, the
 # sharded-executor determinism test (bit-exact stores, cycles, and
 # fault/numeric tallies across -exec-workers values, with fault
-# injection and the numeric record plane active), the compiled-executor
-# differential tests (chunk boundaries, chained-Mem positions, error
-# taxonomy, record-plane parity and failure-path merge, all JIT vs
-# interpreter across worker counts), and the pool telemetry test
-# (workers recording into one shared collector while the modeled
+# injection and the numeric record plane active), the PEAC engine
+# differential tests (every TestExec* executor test — chunk boundaries,
+# chained-Mem positions, error taxonomy, trap and record-plane parity
+# and failure-path merge, pool cancellation — plus the whole-program
+# differential, all engine vs the reference interpreter across worker
+# counts), and the pool telemetry
+# test (workers recording into one shared collector while the modeled
 # counters and per-line cycle attribution stay bit-identical to a
 # serial run).
 concurrency:
-	$(GO) test -race -run 'Concurrent|ExecParallelDeterminism|ExecJIT' ./...
+	$(GO) test -race -run 'Concurrent|^TestExec|EngineDifferential' ./...
 
 # Smoke-test the f90y-bench/v1 JSON writer end to end, serial and with
 # the parallel batch pool.
@@ -85,16 +87,17 @@ crash-soak:
 loadtest:
 	REQS=256 LOADW=32 OUT=LOAD_baseline.json ./scripts/serve_smoke.sh
 
-# Short fuzz of the parser, the whole compile pipeline, and the
-# differential oracle (~30s). The native fuzzer also replays the
-# regression corpus in testdata/fuzz/. FuzzOracle gets a short budget:
-# every successfully-compiling input runs the interpreter plus both
-# machine backends, so its throughput is execution-bound, not
-# parse-bound.
+# Short fuzz of the parser, the whole compile pipeline, the
+# differential oracle, and the PEAC engine against its reference
+# interpreter (~30s). The native fuzzer also replays the regression
+# corpus in testdata/fuzz/. FuzzOracle and FuzzEngines get short
+# budgets: every successfully-compiling input runs whole programs, so
+# their throughput is execution-bound, not parse-bound.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s .
-	$(GO) test -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime 5s .
+	$(GO) test -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime 4s .
+	$(GO) test -run '^$$' -fuzz '^FuzzEngines$$' -fuzztime 1s ./internal/cm2/
 
 # End-to-end smoke of the source-line cycle profiler: one run emits the
 # annotated listing, the pprof protobuf, and the folded stacks; the
@@ -134,34 +137,34 @@ soak:
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
 
-# Compiled-executor bit-identity smoke: SWE plus the layout kernel trio
-# run under the interpreter and the JIT (stores, output, and every
-# modeled cycle plane must match exactly), and an oracle-verified JIT
-# run of SWE across worker counts.
-jit-smoke:
-	$(GO) test -run 'JITSmoke' -count=1 .
+# PEAC engine differential: every internal/workload kernel (SWE,
+# Fig. 9-12, Stencil, SpillKernel, the layout trio under BLOCK, CYCLIC
+# and aligned !HPF$ layouts) on the CM/2 and CM-5 shapes at executor
+# worker counts 0, 2 and GOMAXPROCS, run through the machine harness
+# and through hostvm with the reference interpreter dispatching; stores,
+# output, numeric tallies and host/comm cycles must match exactly.
+engine-diff:
+	$(GO) test -run 'EngineDifferential' -count=1 ./internal/cm2/
 
-# Sharded-executor scaling: SWE wall-clock across -exec-workers 1/2/4/8,
-# interpreted and JIT-compiled (modeled metrics are identical across all
-# eight by construction; see EXPERIMENTS.md).
+# Sharded-executor scaling: SWE wall-clock across -exec-workers 1/2/4/8
+# (modeled metrics are identical across all four by construction; see
+# EXPERIMENTS.md).
 bench-exec:
-	$(GO) test -bench 'SWE_ExecWorkers|ExecJIT' -benchmem -run '^$$' .
+	$(GO) test -bench 'SWE_ExecWorkers' -benchmem -run '^$$' .
 
 # Time the full experiment suite serial vs parallel and write the
 # f90y-batch/v1 comparison record.
 bench-batch:
 	$(GO) run ./cmd/swebench -bench-batch -o BENCH_batch.json
 
-# Refresh the committed baseline records: the f90y-bench/v1 JSON for
-# the paper-scale SWE run (with its profile summary), the same run with
-# the compiled executor (modeled fields must stay identical; only
-# phase wall-clock and the exec_jit marker differ), then the
-# sharded-executor scaling benchmarks — interpreted and JIT — for the
-# wall-clock numbers quoted in EXPERIMENTS.md.
+# Refresh the committed baseline record — the f90y-bench/v1 JSON for
+# the paper-scale SWE run (with its profile summary) — then run the
+# sharded-executor scaling benchmark for the wall-clock numbers quoted
+# in EXPERIMENTS.md. (BENCH_jit.json is the historical record of the
+# engine switch and is no longer regenerated.)
 bench-record:
 	$(GO) run ./cmd/swebench -json -n 512 -steps 2 -o BENCH_baseline.json
-	$(GO) run ./cmd/swebench -json -exec-jit -n 512 -steps 2 -o BENCH_jit.json
-	$(GO) test -bench 'SWE_ExecWorkers|ExecJIT' -benchmem -run '^$$' .
+	$(GO) test -bench 'SWE_ExecWorkers' -benchmem -run '^$$' .
 
 # clean removes generated benchmark outputs but keeps the committed
 # BENCH_baseline.json (refresh it with bench-record).

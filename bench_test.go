@@ -79,11 +79,12 @@ func BenchmarkSWE_F90Y(b *testing.B) {
 	b.ReportMetric(float64(last.NodeCalls), "node-calls")
 }
 
-// BenchmarkSWE_ExecWorkers measures the sharded PEAC executor: one SWE
-// compilation run repeatedly under -exec-workers 1/2/4/8. Modeled
-// metrics (gflops, cycles) are identical across sub-benchmarks by
-// construction — only host wall-clock (ns/op) changes, which is the
-// point: the speedup EXPERIMENTS.md records comes from this benchmark.
+// BenchmarkSWE_ExecWorkers measures the sharded PEAC executor (the
+// compiled engine): one SWE compilation run repeatedly under
+// -exec-workers 1/2/4/8. Modeled metrics (gflops, cycles) are identical
+// across sub-benchmarks by construction — only host wall-clock (ns/op)
+// changes, which is the point: the scaling EXPERIMENTS.md records (B2,
+// B3) comes from this benchmark.
 // Larger than benchN so each routine dispatch spans many 4096-element
 // chunks.
 func BenchmarkSWE_ExecWorkers(b *testing.B) {
@@ -97,34 +98,6 @@ func BenchmarkSWE_ExecWorkers(b *testing.B) {
 			var last *cm2.Result
 			for i := 0; i < b.N; i++ {
 				res, err := comp.RunCtl(&cm2.Control{ExecWorkers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.GFLOPS(), "gflops-modeled")
-			b.ReportMetric(last.TotalCycles(), "cycles-modeled")
-		})
-	}
-}
-
-// BenchmarkExecJIT is BenchmarkSWE_ExecWorkers with the compiled
-// closure executor engaged: same compilation, same worker sweep, same
-// modeled metrics (which are identical to the interpreter's by
-// construction — compare cycles-modeled across the two benchmarks to
-// confirm). The wall-clock ratio between matching sub-benchmarks is
-// the JIT speedup EXPERIMENTS.md records.
-func BenchmarkExecJIT(b *testing.B) {
-	src := workload.SWE(512, benchSteps)
-	comp, err := Compile("swe.f90", src, DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(name("workers", w), func(b *testing.B) {
-			var last *cm2.Result
-			for i := 0; i < b.N; i++ {
-				res, err := comp.RunCtl(&cm2.Control{ExecWorkers: w, ExecJIT: true})
 				if err != nil {
 					b.Fatal(err)
 				}

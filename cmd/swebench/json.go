@@ -30,9 +30,6 @@ package main
 //	  "exec_workers": 8,                  only when -exec-workers shards the
 //	      executor (the requested worker count; every modeled field is
 //	      bit-identical to a serial record regardless),
-//	  "exec_jit": true,                   only when -exec-jit ran the
-//	      compiled closure executor (every modeled field is bit-identical
-//	      to an interpreter record regardless),
 //	  "profile": {"total_cycles": p, "hot_lines": [{"file", "line",
 //	      "cycles"}, ...]},               source-line attribution summary:
 //	      total_cycles equals cycles.pe exactly and the five hottest lines
@@ -85,7 +82,6 @@ type benchRecord struct {
 	Phases      []benchPhase       `json:"phases"`
 	Baselines   benchBaselines     `json:"baselines"`
 	ExecWorkers int                `json:"exec_workers,omitempty"`
-	ExecJIT     bool               `json:"exec_jit,omitempty"`
 	Faults      *benchFaults       `json:"faults,omitempty"`
 	Profile     *benchProfile      `json:"profile,omitempty"`
 }
@@ -140,10 +136,9 @@ type benchBaselines struct {
 // an optional fault plan and assembles the record plus the run's full
 // source-line cycle profile (for the -profile* artifacts). workers > 1
 // measures the three systems concurrently; execW shards the
-// Fortran-90-Y run's routine dispatches (0/1 = serial); execJIT runs
-// them through the compiled closure executor. Separated from the file
-// write so tests can assert record determinism directly.
-func buildRecord(n, steps int, plan *faults.Plan, workers, execW int, execJIT bool) (benchRecord, *profile.Profile, error) {
+// Fortran-90-Y run's routine dispatches (0/1 = serial). Separated from
+// the file write so tests can assert record determinism directly.
+func buildRecord(n, steps int, plan *faults.Plan, workers, execW int) (benchRecord, *profile.Profile, error) {
 	src := workload.SWE(n, steps)
 	ctx := context.Background()
 
@@ -164,8 +159,8 @@ func buildRecord(n, steps int, plan *faults.Plan, workers, execW int, execJIT bo
 			return
 		}
 		var ctl *cm2.Control
-		if plan != nil || (execW != 0 && execW != 1) || execJIT {
-			ctl = &cm2.Control{ExecWorkers: execW, ExecJIT: execJIT}
+		if plan != nil || (execW != 0 && execW != 1) {
+			ctl = &cm2.Control{ExecWorkers: execW}
 			if plan != nil {
 				ctl.Faults = faults.New(plan, col)
 			}
@@ -234,7 +229,6 @@ func buildRecord(n, steps int, plan *faults.Plan, workers, execW int, execJIT bo
 	if execW != 0 && execW != 1 {
 		rec.ExecWorkers = execW // omitted for serial: records stay byte-identical
 	}
-	rec.ExecJIT = execJIT // omitted when false: interpreter records stay byte-identical
 	if s := res.Faults; s != nil {
 		rec.Faults = &benchFaults{
 			Spec:        plan.Spec,
@@ -268,7 +262,7 @@ func writeJSON(path string, n, steps, workers int) {
 	if err != nil {
 		die(err)
 	}
-	rec, prof, err := buildRecord(n, steps, plan, workers, execWorkers(), *flagExecJIT)
+	rec, prof, err := buildRecord(n, steps, plan, workers, execWorkers())
 	if err != nil {
 		die(err)
 	}

@@ -61,11 +61,11 @@ func TestConcurrentSuiteSharesCompiles(t *testing.T) {
 // modeled fields are identical whether the systems are measured
 // serially or concurrently.
 func TestConcurrentBenchRecordDeterministic(t *testing.T) {
-	serial, _, err := buildRecord(32, 2, nil, 1, 0, false)
+	serial, _, err := buildRecord(32, 2, nil, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := buildRecord(32, 2, nil, 8, 0, false)
+	parallel, _, err := buildRecord(32, 2, nil, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func runSoak(w io.Writer, seeds, workers int, reproDir string, asJSON bool, outP
 	// Phase 1: differential verification, interp vs cm2 vs cm5.
 	failures := 0
 	for _, p := range progs {
-		vrep, err := oracle.Verify(p.File, p.Source, oracle.Options{MaxCycles: svc.MaxCycles, ExecWorkers: svc.ExecWorkers, ExecJIT: svc.ExecJIT})
+		vrep, err := oracle.Verify(p.File, p.Source, oracle.Options{MaxCycles: svc.MaxCycles, ExecWorkers: svc.ExecWorkers})
 		if err != nil {
 			failures++
 			rec.Errors = append(rec.Errors, fmt.Sprintf("verify %s: %v", p.Name, err))
@@ -106,7 +106,6 @@ func runSoak(w io.Writer, seeds, workers int, reproDir string, asJSON bool, outP
 		Seeds:     seedList,
 		MaxCycles: svc.MaxCycles,
 		ReproDir:  reproDir,
-		ExecJIT:   svc.ExecJIT,
 	})
 	if err != nil {
 		return failures + 1, err

@@ -19,12 +19,12 @@ import (
 
 // FuzzOracle feeds fuzzer-generated programs through the differential
 // check: any program the compiler accepts must produce agreeing results
-// on the reference interpreter and both machine backends, under both
-// executor engines (interpreted and JIT-compiled) — the fuzzer is part
-// of the gate that keeps the compiled engine bit-exact. Inputs that
-// fail to compile, exceed the cycle/step/size guards, or trip known
-// semantic gaps between the backends are skipped; a genuine divergence
-// or a compiler panic fails the run.
+// on the reference interpreter and both machine backends. (The PEAC
+// engine is fuzzed against its own instruction-level reference by
+// FuzzEngines in internal/cm2.) Inputs that fail to compile, exceed the
+// cycle/step/size guards, or trip known semantic gaps between the
+// backends are skipped; a genuine divergence or a compiler panic fails
+// the run.
 func FuzzOracle(f *testing.F) {
 	f.Add(workload.SWE(8, 1))
 	f.Add(workload.Fig9(8))
@@ -42,22 +42,12 @@ func FuzzOracle(f *testing.F) {
 		}()
 		// Tight guards keep throughput up: an interpreter statement can
 		// touch every lane of every array, so the step and element
-		// limits multiply into the worst-case cost per exec. Both
-		// executor engines must pass; divergence handling below applies
-		// to whichever engine failed first.
-		var rep *oracle.Report
-		var err error
-		for _, jit := range []bool{false, true} {
-			rep, err = oracle.Verify("fuzz.f90", src, oracle.Options{
-				MaxCycles:   2_000_000,
-				InterpSteps: 20_000,
-				MaxElems:    1 << 10,
-				ExecJIT:     jit,
-			})
-			if err != nil {
-				break
-			}
-		}
+		// limits multiply into the worst-case cost per exec.
+		rep, err := oracle.Verify("fuzz.f90", src, oracle.Options{
+			MaxCycles:   2_000_000,
+			InterpSteps: 20_000,
+			MaxElems:    1 << 10,
+		})
 		if err == nil {
 			return
 		}

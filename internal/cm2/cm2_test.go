@@ -83,7 +83,7 @@ func TestExecRoutineDirect(t *testing.T) {
 		st.Arrays["a"].Data[i] = float64(i)
 		st.Arrays["c"].Data[i] = 100
 	}
-	if err := ExecRoutine(r, shape.Of(10), st); err != nil {
+	if err := execChecked(t, r, shape.Of(10), st); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -118,7 +118,7 @@ func TestExecRoutineCoordStream(t *testing.T) {
 		Scalars: map[string]float64{},
 		Kinds:   map[string]nir.ScalarKind{},
 	}
-	if err := ExecRoutine(r, shape.Of(3, 2), st); err != nil {
+	if err := execChecked(t, r, shape.Of(3, 2), st); err != nil {
 		t.Fatal(err)
 	}
 	// a(i,j) = i + 100*j, column-major.
@@ -154,7 +154,7 @@ func TestExecRoutineMaskedStore(t *testing.T) {
 	}
 	st.Arrays["m"].Data = []float64{1, 0, 1, 0}
 	st.Arrays["a"].Data = []float64{5, 5, 5, 5}
-	if err := ExecRoutine(r, shape.Of(4), st); err != nil {
+	if err := execChecked(t, r, shape.Of(4), st); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{9, 5, 9, 5}
@@ -170,7 +170,7 @@ func TestExecRoutineErrors(t *testing.T) {
 		Params: []peac.Param{{Kind: peac.ArrayParam, Name: "ghost", Reg: 2}},
 		Body:   []peac.Instr{{Op: peac.FLODV, A: peac.M(2), D: peac.V(0)}}}
 	st := &rt.Store{Arrays: map[string]*rt.Array{}, Scalars: map[string]float64{}, Kinds: map[string]nir.ScalarKind{}}
-	if err := ExecRoutine(bad, shape.Of(4), st); err == nil {
+	if err := execChecked(t, bad, shape.Of(4), st); err == nil {
 		t.Fatal("undefined array accepted")
 	}
 }
@@ -202,7 +202,7 @@ func TestChunkingIsExact(t *testing.T) {
 	for i := 0; i < n; i++ {
 		st.Arrays["a"].Data[i] = float64(i)
 	}
-	if err := ExecRoutine(r, shape.Of(n), st); err != nil {
+	if err := execChecked(t, r, shape.Of(n), st); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {

@@ -60,8 +60,8 @@ type ExecOpts struct {
 	// Results are bit-exact and invariant under the worker count:
 	// chunks cover disjoint element ranges, so grid-local routines
 	// execute independently per chunk, and every per-element value is
-	// computed by the identical instruction sequence regardless of
-	// which worker ran its chunk.
+	// computed by the identical kernel chain regardless of which worker
+	// ran its chunk.
 	Workers int
 	// Rec receives pool runtime telemetry from the parallel path:
 	// per-worker busy spans (one trace track per worker), chunk spans,
@@ -70,36 +70,17 @@ type ExecOpts struct {
 	// it never feeds modeled cycles, so attaching a recorder cannot
 	// perturb results. Nil (or a serial run) records nothing.
 	Rec obs.Recorder
-	// JIT selects the compiled executor (see jit.go): the routine is
-	// translated once into specialized per-instruction closures and the
-	// chain runs per chunk instead of the interpreter. Results, error
-	// strings, modeled cycles, and numeric tallies are bit-identical to
-	// the interpreter for every worker count; only wall-clock changes.
-	JIT bool
 }
 
-// ExecRoutine executes a PEAC routine functionally over the whole shape.
-// All PEs run the identical program over their subgrids; executing over
-// the flattened array in chunks is exact for grid-local code. It is
-// shared by every machine model built on the PEAC ISA (CM/2, CM/5).
-func ExecRoutine(r *peac.Routine, over shape.Shape, store *rt.Store) error {
-	return ExecRoutineOpts(context.Background(), r, over, store, ExecOpts{})
-}
-
-// ExecRoutineNum is ExecRoutine under a numeric-exception plane: when
-// num is active, the destination lanes of every can-trap float op are
-// scanned for NaN/Inf after execution, and subgrid (the per-PE element
-// count of the dispatch layout) attributes an exceptional lane to its
-// processing element. A nil num is exactly ExecRoutine.
-func ExecRoutineNum(r *peac.Routine, over shape.Shape, store *rt.Store, num *rt.Numeric, subgrid int) error {
-	return ExecRoutineOpts(context.Background(), r, over, store, ExecOpts{Num: num, Subgrid: subgrid})
-}
-
-// ExecRoutineOpts is the full-form executor entry point: ExecRoutine
-// under a context, a numeric-exception plane, and an optional chunk
-// worker pool (see ExecOpts). The context is honored by the parallel
-// path between chunks: a canceled context stops the fan-out and returns
-// an error wrapping rt.ErrCanceled.
+// ExecRoutineOpts executes a PEAC routine functionally over the whole
+// shape. All PEs run the identical program over their subgrids;
+// executing over the flattened array in chunks is exact for grid-local
+// code. It is shared by every machine model built on the PEAC ISA
+// (CM/2, CM/5). The routine runs as its compiled kernel chain (jit.go),
+// translated once per routine and dispatched per chunk, optionally
+// across a chunk worker pool (see ExecOpts). The context is honored by
+// the parallel path between chunks: a canceled context stops the
+// fan-out and returns an error wrapping rt.ErrCanceled.
 //
 // Error and numeric-plane semantics under parallelism are deterministic:
 // the error returned is always the one the serial executor would have
@@ -113,53 +94,47 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 	n := shape.Size(over)
 	ext := shape.Extents(over)
 	lo := shape.Lowers(over)
+	streams, scalars, err := bindParams(r, over, store)
+	if err != nil {
+		return err
+	}
+	strideBelow := coordStrides(ext)
 
-	streams := map[int]stream{}
-	scalars := map[int]float64{}
-	for _, p := range r.Params {
-		switch p.Kind {
-		case peac.ArrayParam:
-			arr, ok := store.Arrays[p.Name]
-			if !ok {
-				return fmt.Errorf("cm2: routine %s references undefined array %q", r.Name, p.Name)
-			}
-			if arr.Size() != n {
-				return fmt.Errorf("cm2: array %q size %d does not conform to shape %v", p.Name, arr.Size(), over)
-			}
-			streams[p.Reg] = stream{arr: arr}
-		case peac.CoordParam:
-			if p.Dim < 1 || p.Dim > len(ext) {
-				return fmt.Errorf("cm2: coordinate dim %d out of range for %v", p.Dim, over)
-			}
-			streams[p.Reg] = stream{coordDim: p.Dim}
-		case peac.ScalarParam:
-			v, ok := store.Scalars[p.Name]
-			if !ok {
-				return fmt.Errorf("cm2: routine %s references undefined scalar %q", r.Name, p.Name)
-			}
-			scalars[p.Reg] = v
-		case peac.ConstParam:
-			scalars[p.Reg] = p.Value
+	prog := jitFor(r)
+	// Kernels index streams by pointer register once per strip, so they
+	// get a dense slice instead of the map.
+	maxReg := -1
+	for reg := range streams {
+		maxReg = max(maxReg, reg)
+	}
+	jstreams := make([]stream, maxReg+1)
+	for reg, st := range streams {
+		jstreams[reg] = st
+	}
+	// The optimized chain is valid unless one of its hazard stream
+	// pairs — a store that executes between an elided load and one of
+	// its redirected reads — binds the same array as the load in this
+	// dispatch, or a sunk store's array is Integer32 (its bypassed
+	// StoreLanes would have truncated, not copied).
+	optOK := true
+	for _, hz := range prog.hazards {
+		if streams[hz[0]].arr == streams[hz[1]].arr {
+			optOK = false
+			break
 		}
 	}
-
-	// Coordinate strides (column-major).
-	strideBelow := make([]int, len(ext))
-	s := 1
-	for d := range ext {
-		strideBelow[d] = s
-		s *= ext[d]
-	}
-
-	// Size the register file from the routine itself so register-file
-	// ablations (pe.Options.VRegs) execute unchanged.
-	nregs := peac.NumVRegs
-	for _, in := range r.Body {
-		for _, o := range []peac.Operand{in.A, in.B, in.C, in.D} {
-			if o.Kind == peac.VReg && o.N >= nregs {
-				nregs = o.N + 1
-			}
+	for _, s := range prog.sunk {
+		if streams[s].arr.Kind == nir.Integer32 {
+			optOK = false
+			break
 		}
+	}
+	nbcast := len(prog.scalarRegs)
+	runChunk := func(ws *workspace, start, w int, num *rt.Numeric) error {
+		env := jitEnv{ws: ws, streams: jstreams, start: start, w: w,
+			ext: ext, lo: lo, strideBelow: strideBelow,
+			num: num, subgrid: o.Subgrid, npes: o.PEs, optOK: optOK}
+		return prog.execChunk(&env)
 	}
 
 	nchunks := (n + chunkSize - 1) / chunkSize
@@ -170,71 +145,10 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 	if workers > nchunks {
 		workers = nchunks
 	}
-
-	// Engine selection: the interpreter (execChunk) or the compiled
-	// kernel chain (jit.go). Both paths share the chunk grid, the
-	// worker pool, the workspace pool, and the numeric plane, so the
-	// choice changes wall-clock only.
-	var prog *jitProgram
-	var jstreams []stream
-	nbcast := 0
-	optOK := false
-	if o.JIT {
-		prog = jitFor(r)
-		if prog.nregs > nregs {
-			nregs = prog.nregs
-		}
-		nbcast = len(prog.scalarRegs)
-		// Kernels index streams by pointer register once per strip, so
-		// they get a dense slice instead of the map.
-		maxReg := -1
-		for reg := range streams {
-			if reg > maxReg {
-				maxReg = reg
-			}
-		}
-		jstreams = make([]stream, maxReg+1)
-		for reg, st := range streams {
-			jstreams[reg] = st
-		}
-		// The optimized chain is valid unless one of its hazard stream
-		// pairs — a store that executes between an elided load and one
-		// of its redirected reads — binds the same array as the load in
-		// this dispatch, or a sunk store's array is Integer32 (its
-		// bypassed StoreLanes would have truncated, not copied).
-		optOK = true
-		for _, hz := range prog.hazards {
-			if streams[hz[0]].arr == streams[hz[1]].arr {
-				optOK = false
-				break
-			}
-		}
-		for _, s := range prog.sunk {
-			if streams[s].arr.Kind == nir.Integer32 {
-				optOK = false
-				break
-			}
-		}
-	}
-	setup := func(ws *workspace) {
-		if prog != nil {
-			prog.bindScalars(ws, scalars)
-		}
-	}
-	runChunk := func(ws *workspace, start, w int, num *rt.Numeric) error {
-		if prog != nil {
-			env := jitEnv{ws: ws, streams: jstreams, start: start, w: w,
-				ext: ext, lo: lo, strideBelow: strideBelow,
-				num: num, subgrid: o.Subgrid, npes: o.PEs, optOK: optOK}
-			return prog.execChunk(&env)
-		}
-		return execChunk(r, ws, streams, scalars, start, w, ext, lo, strideBelow, num, o.Subgrid, o.PEs)
-	}
-
 	if workers <= 1 {
-		ws := getWorkspace(nregs, r.SpillSlots, nbcast)
+		ws := getWorkspace(prog.nregs, r.SpillSlots, nbcast)
 		defer putWorkspace(ws)
-		setup(ws)
+		prog.bindScalars(ws, scalars)
 		for start := 0; start < n; start += chunkSize {
 			w := min(chunkSize, n-start)
 			if err := runChunk(ws, start, w, o.Num); err != nil {
@@ -267,9 +181,9 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			ws := getWorkspace(nregs, r.SpillSlots, nbcast)
+			ws := getWorkspace(prog.nregs, r.SpillSlots, nbcast)
 			defer putWorkspace(ws)
-			setup(ws)
+			prog.bindScalars(ws, scalars)
 			// Each worker tallies (or traps) into a private plane;
 			// record-mode counts merge after the pool drains.
 			var wnum *rt.Numeric
@@ -350,6 +264,56 @@ func ExecRoutineOpts(ctx context.Context, r *peac.Routine, over shape.Shape, sto
 	return nil
 }
 
+// bindParams resolves the routine's parameters against the store:
+// pointer registers to array or coordinate streams, scalar registers to
+// their values. A missing array or scalar, a non-conforming array, or a
+// coordinate dimension outside the shape is an error.
+func bindParams(r *peac.Routine, over shape.Shape, store *rt.Store) (map[int]stream, map[int]float64, error) {
+	n := shape.Size(over)
+	rank := len(shape.Extents(over))
+	streams := map[int]stream{}
+	scalars := map[int]float64{}
+	for _, p := range r.Params {
+		switch p.Kind {
+		case peac.ArrayParam:
+			arr, ok := store.Arrays[p.Name]
+			if !ok {
+				return nil, nil, fmt.Errorf("cm2: routine %s references undefined array %q", r.Name, p.Name)
+			}
+			if arr.Size() != n {
+				return nil, nil, fmt.Errorf("cm2: array %q size %d does not conform to shape %v", p.Name, arr.Size(), over)
+			}
+			streams[p.Reg] = stream{arr: arr}
+		case peac.CoordParam:
+			if p.Dim < 1 || p.Dim > rank {
+				return nil, nil, fmt.Errorf("cm2: coordinate dim %d out of range for %v", p.Dim, over)
+			}
+			streams[p.Reg] = stream{coordDim: p.Dim}
+		case peac.ScalarParam:
+			v, ok := store.Scalars[p.Name]
+			if !ok {
+				return nil, nil, fmt.Errorf("cm2: routine %s references undefined scalar %q", r.Name, p.Name)
+			}
+			scalars[p.Reg] = v
+		case peac.ConstParam:
+			scalars[p.Reg] = p.Value
+		}
+	}
+	return streams, scalars, nil
+}
+
+// coordStrides returns the column-major element stride below each
+// dimension, which coordinate streams divide by.
+func coordStrides(ext []int) []int {
+	strideBelow := make([]int, len(ext))
+	s := 1
+	for d := range ext {
+		strideBelow[d] = s
+		s *= ext[d]
+	}
+	return strideBelow
+}
+
 // workspace is one executor worker's private mutable state: the
 // materialized vector register file, the spill area, and one fetch
 // buffer per chained-memory operand position (A, B, C — each distinct
@@ -362,9 +326,8 @@ type workspace struct {
 	regs  [][]float64
 	slots [][]float64
 	mem   [3][]float64
-	// bcast holds the compiled executor's scalar broadcast buffers (one
-	// per distinct scalar register a routine reads; see jit.go). The
-	// interpreter path requests none.
+	// bcast holds the scalar broadcast buffers (one per distinct scalar
+	// register a routine reads; see jit.go).
 	bcast [][]float64
 }
 
@@ -375,7 +338,7 @@ var wsPool = sync.Pool{New: func() any { return &workspace{} }}
 // broadcast buffers. Lane contents are unspecified: PEAC routines are
 // single basic blocks whose register allocator guarantees definition
 // before use, every op writes exactly the [0, w) lanes it is asked for,
-// and the compiled path refills its broadcast buffers per dispatch.
+// and the broadcast buffers are refilled per dispatch.
 func getWorkspace(nregs, nslots, nbcast int) *workspace {
 	ws := wsPool.Get().(*workspace)
 	for len(ws.regs) < nregs {
@@ -410,268 +373,6 @@ func fetchMem(st stream, dst []float64, start, w int, ext, lo, strideBelow []int
 	copy(dst[:w], st.arr.Data[start:start+w])
 }
 
-func execChunk(r *peac.Routine, ws *workspace, streams map[int]stream, scalars map[int]float64,
-	start, w int, ext, lo, strideBelow []int, num *rt.Numeric, subgrid, npes int) error {
-
-	regs, slots := ws.regs, ws.slots
-
-	// source resolves one operand to a lane slice or a broadcast scalar.
-	// A chained memory operand is fetched into buf — each operand
-	// position passes its own buffer, so an instruction with several
-	// chained streams (Mem in A and B, an FSTRV with a Mem source or
-	// mask) reads each stream's own lanes, never another operand's
-	// leftover fetch.
-	source := func(o peac.Operand, buf []float64) ([]float64, float64, error) {
-		switch o.Kind {
-		case peac.VReg:
-			return regs[o.N], 0, nil
-		case peac.SReg:
-			return nil, scalars[o.N], nil
-		case peac.SpillSlot:
-			return slots[o.N], 0, nil
-		case peac.Mem:
-			st, ok := streams[o.N]
-			if !ok {
-				return nil, 0, fmt.Errorf("chained load from unbound pointer aP%d", o.N)
-			}
-			fetchMem(st, buf, start, w, ext, lo, strideBelow)
-			return buf, 0, nil
-		}
-		return nil, 0, nil
-	}
-
-	at := func(sl []float64, sc float64, i int) float64 {
-		if sl != nil {
-			return sl[i]
-		}
-		return sc
-	}
-
-	for idx, in := range r.Body {
-		switch in.Op {
-		case peac.JNZ, peac.NOP:
-			continue
-		case peac.FLODV:
-			st, ok := streams[in.A.N]
-			if !ok {
-				return fmt.Errorf("load from unbound pointer aP%d", in.A.N)
-			}
-			fetchMem(st, regs[in.D.N], start, w, ext, lo, strideBelow)
-			continue
-		case peac.RESTV:
-			copy(regs[in.D.N][:w], slots[in.A.N][:w])
-			continue
-		case peac.SPILLV:
-			copy(slots[in.D.N][:w], regs[in.A.N][:w])
-			continue
-		case peac.FSTRV:
-			// The unbound-pointer taxonomy: a target register no param
-			// binds is "unbound"; one bound to a coordinate stream is a
-			// distinct, read-only-target error (coordinates are computed,
-			// not stored). The compiled path produces both byte-identically.
-			st, ok := streams[in.D.N]
-			if !ok {
-				return fmt.Errorf("store to unbound pointer aP%d", in.D.N)
-			}
-			if st.arr == nil {
-				return fmt.Errorf("store to coordinate stream aP%d", in.D.N)
-			}
-			src, srcSc, err := source(in.A, ws.mem[0])
-			if err != nil {
-				return err
-			}
-			if in.C.Kind != peac.NoOperand {
-				mask, maskSc, err := source(in.C, ws.mem[2])
-				if err != nil {
-					return err
-				}
-				for i := 0; i < w; i++ {
-					if at(mask, maskSc, i) != 0 {
-						st.arr.StoreVal(start+i, at(src, srcSc, i))
-					}
-				}
-			} else {
-				for i := 0; i < w; i++ {
-					st.arr.StoreVal(start+i, at(src, srcSc, i))
-				}
-			}
-			continue
-		}
-
-		// Arithmetic: resolve the sources, fetching each chained memory
-		// operand into its own per-position buffer.
-		av, asc, err := source(in.A, ws.mem[0])
-		if err != nil {
-			return err
-		}
-		bv, bsc, err := source(in.B, ws.mem[1])
-		if err != nil {
-			return err
-		}
-		cv, csc, err := source(in.C, ws.mem[2])
-		if err != nil {
-			return err
-		}
-		dst := regs[in.D.N]
-
-		switch in.Op {
-		case peac.FADDV:
-			for i := 0; i < w; i++ {
-				dst[i] = at(av, asc, i) + at(bv, bsc, i)
-			}
-		case peac.FSUBV:
-			for i := 0; i < w; i++ {
-				dst[i] = at(av, asc, i) - at(bv, bsc, i)
-			}
-		case peac.FMULV:
-			for i := 0; i < w; i++ {
-				dst[i] = at(av, asc, i) * at(bv, bsc, i)
-			}
-		case peac.FDIVV:
-			if in.IntOp {
-				for i := 0; i < w; i++ {
-					d := at(bv, bsc, i)
-					if d == 0 {
-						return fmt.Errorf("integer division by zero")
-					}
-					dst[i] = math.Trunc(at(av, asc, i) / d)
-				}
-			} else {
-				for i := 0; i < w; i++ {
-					dst[i] = at(av, asc, i) / at(bv, bsc, i)
-				}
-			}
-		case peac.FMODV:
-			if in.IntOp {
-				for i := 0; i < w; i++ {
-					d := at(bv, bsc, i)
-					if d == 0 {
-						return fmt.Errorf("mod by zero")
-					}
-					x := at(av, asc, i)
-					dst[i] = x - math.Trunc(x/d)*d
-				}
-			} else {
-				for i := 0; i < w; i++ {
-					dst[i] = math.Mod(at(av, asc, i), at(bv, bsc, i))
-				}
-			}
-		case peac.FMINV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Min(at(av, asc, i), at(bv, bsc, i))
-			}
-		case peac.FMAXV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Max(at(av, asc, i), at(bv, bsc, i))
-			}
-		case peac.FMADDV:
-			for i := 0; i < w; i++ {
-				dst[i] = at(av, asc, i)*at(bv, bsc, i) + at(cv, csc, i)
-			}
-		case peac.FMSUBV:
-			for i := 0; i < w; i++ {
-				dst[i] = at(av, asc, i)*at(bv, bsc, i) - at(cv, csc, i)
-			}
-		case peac.FNEGV:
-			for i := 0; i < w; i++ {
-				dst[i] = -at(av, asc, i)
-			}
-		case peac.FABSV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Abs(at(av, asc, i))
-			}
-		case peac.FSQRTV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Sqrt(at(av, asc, i))
-			}
-		case peac.FSINV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Sin(at(av, asc, i))
-			}
-		case peac.FCOSV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Cos(at(av, asc, i))
-			}
-		case peac.FTANV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Tan(at(av, asc, i))
-			}
-		case peac.FEXPV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Exp(at(av, asc, i))
-			}
-		case peac.FLOGV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Log(at(av, asc, i))
-			}
-		case peac.FTRNCV:
-			for i := 0; i < w; i++ {
-				dst[i] = math.Trunc(at(av, asc, i))
-			}
-		case peac.FMOVV:
-			for i := 0; i < w; i++ {
-				dst[i] = at(av, asc, i)
-			}
-		case peac.FCMPV:
-			for i := 0; i < w; i++ {
-				x, y := at(av, asc, i), at(bv, bsc, i)
-				var t bool
-				switch in.Cmp {
-				case peac.CmpEQ:
-					t = x == y
-				case peac.CmpNE:
-					t = x != y
-				case peac.CmpLT:
-					t = x < y
-				case peac.CmpLE:
-					t = x <= y
-				case peac.CmpGT:
-					t = x > y
-				case peac.CmpGE:
-					t = x >= y
-				}
-				dst[i] = b2f(t)
-			}
-		case peac.FANDV:
-			for i := 0; i < w; i++ {
-				dst[i] = b2f(at(av, asc, i) != 0 && at(bv, bsc, i) != 0)
-			}
-		case peac.FORV:
-			for i := 0; i < w; i++ {
-				dst[i] = b2f(at(av, asc, i) != 0 || at(bv, bsc, i) != 0)
-			}
-		case peac.FEQVV:
-			for i := 0; i < w; i++ {
-				dst[i] = b2f((at(av, asc, i) != 0) == (at(bv, bsc, i) != 0))
-			}
-		case peac.FNEQV:
-			for i := 0; i < w; i++ {
-				dst[i] = b2f((at(av, asc, i) != 0) != (at(bv, bsc, i) != 0))
-			}
-		case peac.FNOTV:
-			for i := 0; i < w; i++ {
-				dst[i] = b2f(at(av, asc, i) == 0)
-			}
-		case peac.FSELV:
-			for i := 0; i < w; i++ {
-				if at(cv, csc, i) != 0 {
-					dst[i] = at(av, asc, i)
-				} else {
-					dst[i] = at(bv, bsc, i)
-				}
-			}
-		default:
-			return fmt.Errorf("unimplemented opcode %v", in.Mnemonic())
-		}
-		if num != nil && num.Mode != rt.NumericOff && peac.CanTrap(in.Op) {
-			if err := scanNumeric(num, idx, in.Mnemonic(), peac.ClassOf(in).String(), dst, start, w, subgrid, npes); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // scanNumeric is the numeric-exception plane: it inspects the freshly
 // written destination lanes of one can-trap float op. Trap mode halts
 // at the first exceptional lane with instruction, element, and PE
@@ -681,9 +382,9 @@ func execChunk(r *peac.Routine, ws *workspace, streams map[int]stream, scalars m
 // does not tile the shape exactly can otherwise compute an element-to-PE
 // quotient past the last processing element.
 //
-// The mnemonic and class strings are parameters so both executors share
-// one formatter: the interpreter computes them per scan, the compiled
-// path precomputes them per instruction — either way the trap message
+// The mnemonic and class strings are parameters so the compiled engine
+// can precompute them per instruction, and the reference interpreter in
+// the tests can share this one formatter — either way the trap message
 // and the record-mode class keys are byte-identical.
 func scanNumeric(num *rt.Numeric, idx int, mnemonic, class string, dst []float64, start, w, subgrid, npes int) error {
 	for i := 0; i < w; i++ {

@@ -1,17 +1,18 @@
 package cm2
 
-// Differential tests for the compiled executor (jit.go): every test
-// runs the interpreter as the reference and asserts the JIT is
-// bit-identical — stores compared by Float64bits, error strings byte
-// for byte, numeric-plane tallies count for count — across chunk
-// boundaries and worker counts. The chained-memory regressions from
-// exec_par_test.go are re-run against the compiled path, which has its
-// own per-position fetch buffers to get wrong.
+// Differential tests for the PEAC engine (jit.go): every test runs the
+// reference interpreter (ref_test.go) as the oracle and asserts the
+// engine is bit-identical — stores compared by Float64bits, error
+// strings byte for byte, numeric-plane tallies count for count — across
+// chunk boundaries, worker counts, and the engine's reference and opt
+// chains. The chained-memory cases live with their regressions in
+// exec_par_test.go, next to the routine the chunk-boundary test shares.
 
 import (
 	"context"
 	"errors"
-	"math"
+	"fmt"
+	"strings"
 	"testing"
 
 	"f90y/internal/nir"
@@ -20,130 +21,29 @@ import (
 	"f90y/internal/shape"
 )
 
-// execJIT runs r over n elements with the compiled engine.
-func execJIT(t *testing.T, r *peac.Routine, st *rt.Store, n, workers int) error {
-	t.Helper()
-	return ExecRoutineOpts(context.Background(), r, shape.Of(n), st, ExecOpts{JIT: true, Workers: workers})
-}
-
-// TestExecJITChunkBoundaries drives the compiled engine across every
-// chunk-boundary case the ISSUE names (n = 1, chunkSize-1, chunkSize,
-// chunkSize+1, plus a many-chunk count) and worker counts, asserting
-// bit-exact agreement with the serial interpreter.
+// TestExecJITChunkBoundaries runs the chunk routine at element counts
+// around every chunk boundary, serial and parallel, and asserts each
+// engine store is bit-identical to the reference interpreter's.
 func TestExecJITChunkBoundaries(t *testing.T) {
 	r := chunkRoutine()
 	for _, n := range []int{1, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 5} {
 		ref := chunkStore(n)
-		if err := ExecRoutine(r, shape.Of(n), ref); err != nil {
-			t.Fatalf("n=%d interpreter: %v", n, err)
+		if err := execRef(r, ref, n); err != nil {
+			t.Fatalf("n=%d reference: %v", n, err)
 		}
 		for _, workers := range []int{1, 2, 8, -1} {
 			st := chunkStore(n)
-			if err := execJIT(t, r, st, n, workers); err != nil {
-				t.Fatalf("n=%d workers=%d jit: %v", n, workers, err)
+			if err := execEngine(r, st, n, workers); err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 			}
-			for i, want := range ref.Arrays["d"].Data {
-				got := st.Arrays["d"].Data[i]
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("n=%d workers=%d: d[%d] = %v, want %v (jit not bit-exact)", n, workers, i, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestExecJITChainedMemPositions re-runs the chained-memory regressions
-// against the compiled path: distinct Mem streams in A and B, in A, B,
-// and C, and an FSTRV with chained source and mask must each read their
-// own lanes through the per-position fetch buffers.
-func TestExecJITChainedMemPositions(t *testing.T) {
-	cases := []struct {
-		name string
-		r    *peac.Routine
-		arrs []string
-	}{
-		{
-			name: "A+B",
-			r: &peac.Routine{
-				Name: "PchainAB",
-				Params: []peac.Param{
-					{Kind: peac.ArrayParam, Name: "a", Reg: 2},
-					{Kind: peac.ArrayParam, Name: "b", Reg: 3},
-					{Kind: peac.ArrayParam, Name: "d", Reg: 4},
-				},
-				Body: []peac.Instr{
-					{Op: peac.FADDV, A: peac.M(2), B: peac.M(3), D: peac.V(0)},
-					{Op: peac.FSTRV, A: peac.V(0), D: peac.M(4)},
-				},
-			},
-			arrs: []string{"a", "b", "d"},
-		},
-		{
-			name: "A+B+C",
-			r: &peac.Routine{
-				Name: "PchainABC",
-				Params: []peac.Param{
-					{Kind: peac.ArrayParam, Name: "a", Reg: 2},
-					{Kind: peac.ArrayParam, Name: "b", Reg: 3},
-					{Kind: peac.ArrayParam, Name: "c", Reg: 5},
-					{Kind: peac.ArrayParam, Name: "d", Reg: 4},
-				},
-				Body: []peac.Instr{
-					{Op: peac.FMADDV, A: peac.M(2), B: peac.M(3), C: peac.M(5), D: peac.V(0)},
-					{Op: peac.FSTRV, A: peac.V(0), D: peac.M(4)},
-				},
-			},
-			arrs: []string{"a", "b", "c", "d"},
-		},
-		{
-			name: "store-src+mask",
-			r: &peac.Routine{
-				Name: "PchainStore",
-				Params: []peac.Param{
-					{Kind: peac.ArrayParam, Name: "a", Reg: 2},
-					{Kind: peac.ArrayParam, Name: "b", Reg: 3},
-					{Kind: peac.ArrayParam, Name: "d", Reg: 4},
-				},
-				Body: []peac.Instr{
-					{Op: peac.FSTRV, A: peac.M(2), C: peac.M(3), D: peac.M(4)},
-				},
-			},
-			arrs: []string{"a", "b", "d"},
-		},
-	}
-	const n = 2*chunkSize + 9
-	fill := func(name string, i int) float64 {
-		switch name {
-		case "a":
-			return 1 + float64(i%23)
-		case "b":
-			return float64(i % 3) // doubles as the store mask
-		case "c":
-			return 100 + float64(i%7)
-		}
-		return -1
-	}
-	for _, tc := range cases {
-		ref := parStore(n, tc.arrs, fill)
-		if err := ExecRoutine(tc.r, shape.Of(n), ref); err != nil {
-			t.Fatalf("%s interpreter: %v", tc.name, err)
-		}
-		st := parStore(n, tc.arrs, fill)
-		if err := execJIT(t, tc.r, st, n, 1); err != nil {
-			t.Fatalf("%s jit: %v", tc.name, err)
-		}
-		for i, want := range ref.Arrays["d"].Data {
-			got := st.Arrays["d"].Data[i]
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: d[%d] = %v, want %v", tc.name, i, got, want)
-			}
+			sameStores(t, fmt.Sprintf("n=%d workers=%d", n, workers), ref, st)
 		}
 	}
 }
 
 // TestExecJITIntegerStoreKind asserts the compiled store path applies
 // the array's kind semantics: stores into an Integer32 array truncate,
-// masked and unmasked, exactly like the interpreter's StoreVal.
+// masked and unmasked, exactly like the reference's StoreVal.
 func TestExecJITIntegerStoreKind(t *testing.T) {
 	r := &peac.Routine{
 		Name: "Pintstore",
@@ -165,27 +65,20 @@ func TestExecJITIntegerStoreKind(t *testing.T) {
 		st.Arrays["d"] = di
 		return st
 	}
-	ref := mk()
-	if err := ExecRoutine(r, shape.Of(n), ref); err != nil {
-		t.Fatal(err)
-	}
 	st := mk()
-	if err := execJIT(t, r, st, n, 1); err != nil {
+	if err := execChecked(t, r, shape.Of(n), st); err != nil {
 		t.Fatal(err)
 	}
-	for i := range ref.Arrays["d"].Data {
-		want, got := ref.Arrays["d"].Data[i], st.Arrays["d"].Data[i]
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("d[%d] = %v, want %v (integer store must truncate)", i, got, want)
-		}
-		if got != math.Trunc(got) {
-			t.Fatalf("d[%d] = %v is not an integer", i, got)
+	for i, got := range st.Arrays["d"].Data {
+		if got != float64(i/2) {
+			t.Fatalf("d[%d] = %v, want %v (integer store must truncate)", i, got, float64(i/2))
 		}
 	}
 }
 
 // TestExecJITErrorStrings drives every class of executor error through
-// both engines and asserts the strings are byte-identical: the uniform
+// the engine and the reference and asserts the strings are
+// byte-identical and name the fault: the uniform
 // unbound-pointer taxonomy (load, chained load, store, and the distinct
 // store-to-coordinate case), the data-dependent integer div/mod faults,
 // and the unimplemented-opcode backstop.
@@ -198,58 +91,52 @@ func TestExecJITErrorStrings(t *testing.T) {
 	cases := []struct {
 		name string
 		body []peac.Instr
-		zero bool // plant a zero divisor lane
+		want string // substring naming the fault
 	}{
 		{"load-unbound", []peac.Instr{
 			{Op: peac.FLODV, A: peac.M(9), D: peac.V(0)},
-		}, false},
+		}, "load from unbound pointer aP9"},
 		{"chained-unbound-B", []peac.Instr{
 			{Op: peac.FADDV, A: peac.M(2), B: peac.M(9), D: peac.V(0)},
-		}, false},
+		}, "chained load from unbound pointer aP9"},
 		{"chained-unbound-C-of-2src", []peac.Instr{
-			// The interpreter resolves C even for a two-source op; the
-			// compiled path must fault identically.
+			// The reference resolves C even for a two-source op; the
+			// engine must fault identically.
 			{Op: peac.FADDV, A: peac.V(0), B: peac.V(1), C: peac.M(9), D: peac.V(0)},
-		}, false},
+		}, "chained load from unbound pointer aP9"},
 		{"store-unbound", []peac.Instr{
 			{Op: peac.FLODV, A: peac.M(2), D: peac.V(0)},
 			{Op: peac.FSTRV, A: peac.V(0), D: peac.M(9)},
-		}, false},
+		}, "store to unbound pointer aP9"},
 		{"store-coordinate", []peac.Instr{
 			{Op: peac.FLODV, A: peac.M(2), D: peac.V(0)},
 			{Op: peac.FSTRV, A: peac.V(0), D: peac.M(5)},
-		}, false},
+		}, "store to coordinate stream aP5"},
 		{"int-div-zero", []peac.Instr{
 			{Op: peac.FLODV, A: peac.M(2), D: peac.V(0)},
 			{Op: peac.FDIVV, A: peac.V(0), B: peac.V(1), D: peac.V(2), IntOp: true},
-		}, true},
+		}, "integer division by zero"},
 		{"int-mod-zero", []peac.Instr{
 			{Op: peac.FLODV, A: peac.M(2), D: peac.V(0)},
 			{Op: peac.FMODV, A: peac.V(0), B: peac.V(1), D: peac.V(2), IntOp: true},
-		}, true},
+		}, "mod by zero"},
 		{"unimplemented-opcode", []peac.Instr{
 			{Op: peac.Opcode(250), A: peac.V(0), B: peac.V(1), D: peac.V(2)},
-		}, false},
+		}, "unimplemented opcode"},
 	}
 	const n = 16
 	for _, tc := range cases {
 		r := &peac.Routine{Name: "Perr_" + tc.name, Params: baseParams, Body: tc.body}
-		mk := func() *rt.Store {
-			return parStore(n, []string{"a", "d"}, func(name string, i int) float64 { return 1 })
-		}
-		ref := ExecRoutine(r, shape.Of(n), mk())
-		if ref == nil {
-			t.Fatalf("%s: interpreter did not error", tc.name)
-		}
-		got := execJIT(t, r, mk(), n, 1)
-		if got == nil || got.Error() != ref.Error() {
-			t.Errorf("%s: jit error %q, want interpreter error %q", tc.name, got, ref)
+		st := parStore(n, []string{"a", "d"}, func(name string, i int) float64 { return 1 })
+		err := execChecked(t, r, shape.Of(n), st)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
 		}
 	}
 }
 
 // TestExecJITTrapIdentical plants exceptional lanes in two chunks and
-// asserts the compiled engine traps with the interpreter's exact error
+// asserts the engine traps with the reference's exact error
 // — same instruction, element, and PE attribution — for every worker
 // count.
 func TestExecJITTrapIdentical(t *testing.T) {
@@ -279,29 +166,27 @@ func TestExecJITTrapIdentical(t *testing.T) {
 			return 1
 		})
 	}
-	run := func(jit bool, workers int) error {
-		num := &rt.Numeric{Mode: rt.NumericTrap}
-		return ExecRoutineOpts(context.Background(), r, shape.Of(n), mk(),
-			ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: workers, JIT: jit})
+	opts := func(workers int) ExecOpts {
+		return ExecOpts{Num: &rt.Numeric{Mode: rt.NumericTrap}, Subgrid: 8, PEs: 2048, Workers: workers}
 	}
-	ref := run(false, 1)
+	ref := refExec(r, shape.Of(n), mk(), opts(1))
 	if ref == nil || !errors.Is(ref, rt.ErrNumeric) {
-		t.Fatalf("interpreter trap = %v, want rt.ErrNumeric", ref)
+		t.Fatalf("reference trap = %v, want rt.ErrNumeric", ref)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got := run(true, workers)
+		got := ExecRoutineOpts(context.Background(), r, shape.Of(n), mk(), opts(workers))
 		if got == nil || got.Error() != ref.Error() {
-			t.Errorf("jit workers=%d: trap %q, want %q", workers, got, ref)
+			t.Errorf("workers=%d: trap %q, want %q", workers, got, ref)
 		}
 		if !errors.Is(got, rt.ErrNumeric) {
-			t.Errorf("jit workers=%d: trap does not wrap rt.ErrNumeric", workers)
+			t.Errorf("workers=%d: trap does not wrap rt.ErrNumeric", workers)
 		}
 	}
 }
 
 // TestExecJITNumericRecordParity asserts record-mode tallies from the
-// compiled engine match the interpreter's exactly, per class, across
-// worker counts.
+// engine match the reference's exactly, per class, across worker
+// counts.
 func TestExecJITNumericRecordParity(t *testing.T) {
 	r := &peac.Routine{
 		Name: "Pjitnum",
@@ -336,33 +221,20 @@ func TestExecJITNumericRecordParity(t *testing.T) {
 			return 0
 		})
 	}
-	run := func(jit bool, workers int) *rt.Numeric {
-		num := &rt.Numeric{Mode: rt.NumericRecord}
-		if err := ExecRoutineOpts(context.Background(), r, shape.Of(n), mk(),
-			ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: workers, JIT: jit}); err != nil {
-			t.Fatalf("jit=%v workers=%d: %v", jit, workers, err)
-		}
-		return num
+	ref := &rt.Numeric{Mode: rt.NumericRecord}
+	if err := refExec(r, shape.Of(n), mk(), ExecOpts{Num: ref, Subgrid: 8, PEs: 2048}); err != nil {
+		t.Fatal(err)
 	}
-	ref := run(false, 1)
 	if ref.Total() == 0 {
 		t.Fatal("record run tallied no exceptional lanes; test inputs are broken")
 	}
 	for _, workers := range []int{1, 4, -1} {
-		got := run(true, workers)
-		for cl, c := range ref.NaN {
-			if got.NaN[cl] != c {
-				t.Errorf("jit workers=%d: NaN[%s] = %d, want %d", workers, cl, got.NaN[cl], c)
-			}
+		got := &rt.Numeric{Mode: rt.NumericRecord}
+		if err := ExecRoutineOpts(context.Background(), r, shape.Of(n), mk(),
+			ExecOpts{Num: got, Subgrid: 8, PEs: 2048, Workers: workers}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for cl, c := range ref.Inf {
-			if got.Inf[cl] != c {
-				t.Errorf("jit workers=%d: Inf[%s] = %d, want %d", workers, cl, got.Inf[cl], c)
-			}
-		}
-		if got.Total() != ref.Total() {
-			t.Errorf("jit workers=%d: total %d, want %d", workers, got.Total(), ref.Total())
-		}
+		sameNumeric(t, "workers="+itoaTest(workers), ref, got)
 	}
 }
 
@@ -373,8 +245,7 @@ func TestExecJITNumericRecordParity(t *testing.T) {
 // failure is planted in the LAST chunk, so the monotone chunk-claim
 // order guarantees every earlier chunk is claimed (and runs to
 // completion) before the failing chunk cancels the pool: serial and
-// parallel tallies are deterministic and must be equal, under both
-// engines.
+// parallel tallies are deterministic and must equal the reference's.
 func TestExecJITRecordMergeOnFailure(t *testing.T) {
 	r := &peac.Routine{
 		Name: "Pfail",
@@ -413,41 +284,29 @@ func TestExecJITRecordMergeOnFailure(t *testing.T) {
 			return 0
 		})
 	}
-	run := func(jit bool, workers int) (*rt.Numeric, error) {
-		num := &rt.Numeric{Mode: rt.NumericRecord}
-		err := ExecRoutineOpts(context.Background(), r, shape.Of(n), mk(),
-			ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: workers, JIT: jit})
-		return num, err
-	}
-	refNum, refErr := run(false, 1)
+	refNum := &rt.Numeric{Mode: rt.NumericRecord}
+	refErr := refExec(r, shape.Of(n), mk(), ExecOpts{Num: refNum, Subgrid: 8, PEs: 2048})
 	if refErr == nil {
-		t.Fatal("serial run did not fail; test inputs are broken")
+		t.Fatal("reference run did not fail; test inputs are broken")
 	}
 	if refNum.Total() == 0 {
-		t.Fatal("serial failing run recorded no tallies; test inputs are broken")
+		t.Fatal("reference failing run recorded no tallies; test inputs are broken")
 	}
-	for _, jit := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 8} {
-			num, err := run(jit, workers)
-			if err == nil || err.Error() != refErr.Error() {
-				t.Errorf("jit=%v workers=%d: err %q, want %q", jit, workers, err, refErr)
-			}
-			if num.Total() != refNum.Total() {
-				t.Errorf("jit=%v workers=%d: failing run tallied %d lanes, want %d (record planes dropped on error path)",
-					jit, workers, num.Total(), refNum.Total())
-			}
-			for cl, c := range refNum.Inf {
-				if num.Inf[cl] != c {
-					t.Errorf("jit=%v workers=%d: Inf[%s] = %d, want %d", jit, workers, cl, num.Inf[cl], c)
-				}
-			}
+	for _, workers := range []int{1, 2, 8} {
+		num := &rt.Numeric{Mode: rt.NumericRecord}
+		err := ExecRoutineOpts(context.Background(), r, shape.Of(n), mk(),
+			ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: workers})
+		if err == nil || err.Error() != refErr.Error() {
+			t.Errorf("workers=%d: err %q, want %q", workers, err, refErr)
 		}
+		// A dropped record plane on the error path shows as missing tallies.
+		sameNumeric(t, "workers="+itoaTest(workers), refNum, num)
 	}
 }
 
 // TestExecJITScalarAndNoOperand asserts scalar broadcast (SReg, Const)
-// and missing-operand resolution match the interpreter: a NoOperand
-// source reads broadcast zeros in both engines.
+// and missing-operand resolution match the reference: a NoOperand
+// source reads broadcast zeros.
 func TestExecJITScalarAndNoOperand(t *testing.T) {
 	r := &peac.Routine{
 		Name: "Pscal",
@@ -460,7 +319,7 @@ func TestExecJITScalarAndNoOperand(t *testing.T) {
 		Body: []peac.Instr{
 			{Op: peac.FLODV, A: peac.M(2), D: peac.V(0)},
 			{Op: peac.FMULV, A: peac.V(0), B: peac.S(17), D: peac.V(1)},
-			// B is NoOperand: the interpreter broadcasts 0, so this adds 0.
+			// B is NoOperand: the reference broadcasts 0, so this adds 0.
 			{Op: peac.FADDV, A: peac.V(1), D: peac.V(1)},
 			{Op: peac.FMADDV, A: peac.V(1), B: peac.S(16), C: peac.S(18), D: peac.V(1)}, // S18 unbound -> 0
 			{Op: peac.FSTRV, A: peac.V(1), D: peac.M(4)},
@@ -477,25 +336,14 @@ func TestExecJITScalarAndNoOperand(t *testing.T) {
 		st.Scalars["s"] = 3.5
 		return st
 	}
-	ref := mk()
-	if err := ExecRoutine(r, shape.Of(n), ref); err != nil {
+	if err := execChecked(t, r, shape.Of(n), mk()); err != nil {
 		t.Fatal(err)
-	}
-	st := mk()
-	if err := execJIT(t, r, st, n, 1); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range ref.Arrays["d"].Data {
-		got := st.Arrays["d"].Data[i]
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("d[%d] = %v, want %v", i, got, want)
-		}
 	}
 }
 
 // fuseRoutine builds "t = a ?1 b; d0 = acc ?2 s (or s ?2 acc); store"
 // so every fused-pair shape (op pair x accumulator side) runs against
-// the interpreter, with the pair's result sunk into the store.
+// the reference, with the pair's result sunk into the store.
 func fuseRoutine(op1, op2 peac.Opcode, accLeft bool) *peac.Routine {
 	second := peac.Instr{Op: op2, A: peac.V(0), B: peac.S(16), D: peac.V(0)}
 	if !accLeft {
@@ -521,8 +369,8 @@ func fuseRoutine(op1, op2 peac.Opcode, accLeft bool) *peac.Routine {
 
 // TestExecJITFusedPairs sweeps every fused-pair combination the planner
 // can emit — op1 x op2 x accumulator side — over inputs that include
-// zeros (hence Inf and NaN intermediates for div) and asserts the JIT
-// store is bit-identical to the interpreter, serial and parallel.
+// zeros (hence Inf and NaN intermediates for div) and asserts the
+// engine's store is bit-identical to the reference, serial and parallel.
 func TestExecJITFusedPairs(t *testing.T) {
 	ops := []peac.Opcode{peac.FADDV, peac.FSUBV, peac.FMULV, peac.FDIVV}
 	const n = chunkSize + 601
@@ -540,21 +388,15 @@ func TestExecJITFusedPairs(t *testing.T) {
 			for _, accLeft := range []bool{true, false} {
 				r := fuseRoutine(op1, op2, accLeft)
 				ref := parStore(n, []string{"a", "b", "d"}, fill)
-				if err := ExecRoutine(r, shape.Of(n), ref); err != nil {
-					t.Fatalf("%v/%v interpreter: %v", op1, op2, err)
+				if err := execRef(r, ref, n); err != nil {
+					t.Fatalf("%v/%v reference: %v", op1, op2, err)
 				}
 				for _, workers := range []int{1, 4} {
 					st := parStore(n, []string{"a", "b", "d"}, fill)
-					if err := execJIT(t, r, st, n, workers); err != nil {
-						t.Fatalf("%v/%v jit: %v", op1, op2, err)
+					if err := execEngine(r, st, n, workers); err != nil {
+						t.Fatalf("%v/%v engine: %v", op1, op2, err)
 					}
-					for i, want := range ref.Arrays["d"].Data {
-						got := st.Arrays["d"].Data[i]
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("op1=%v op2=%v accLeft=%v workers=%d: d[%d] = %v, want %v",
-								op1, op2, accLeft, workers, i, got, want)
-						}
-					}
+					sameStores(t, fmt.Sprintf("op1=%v op2=%v accLeft=%v workers=%d", op1, op2, accLeft, workers), ref, st)
 				}
 			}
 		}
@@ -563,8 +405,8 @@ func TestExecJITFusedPairs(t *testing.T) {
 
 // TestExecJITSinkAliasing runs a sinkable chain with the store target
 // bound to the same array as a load source — the hazard check must
-// reject the optimized chain and the reference chain must still match
-// the interpreter bit for bit (in-place update semantics).
+// reject the opt chain and the reference chain must still match the
+// reference interpreter bit for bit (in-place update semantics).
 func TestExecJITSinkAliasing(t *testing.T) {
 	r := &peac.Routine{
 		Name: "Psinkalias",
@@ -589,26 +431,21 @@ func TestExecJITSinkAliasing(t *testing.T) {
 		return float64(i%5) + 1
 	}
 	ref := parStore(n, []string{"a", "b"}, fill)
-	if err := ExecRoutine(r, shape.Of(n), ref); err != nil {
-		t.Fatalf("interpreter: %v", err)
+	if err := execRef(r, ref, n); err != nil {
+		t.Fatalf("reference: %v", err)
 	}
 	for _, workers := range []int{1, 4} {
 		st := parStore(n, []string{"a", "b"}, fill)
-		if err := execJIT(t, r, st, n, workers); err != nil {
-			t.Fatalf("jit workers=%d: %v", workers, err)
+		if err := execEngine(r, st, n, workers); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for i, want := range ref.Arrays["a"].Data {
-			got := st.Arrays["a"].Data[i]
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("workers=%d: a[%d] = %v, want %v", workers, i, got, want)
-			}
-		}
+		sameStores(t, "workers="+itoaTest(workers), ref, st)
 	}
 }
 
 // TestExecJITFusionLiveness pins the planner's deadness rule: a register
 // consumed by a later instruction must not be fused away or sunk, so the
-// chain that stores v0 and then reuses it still matches the interpreter.
+// chain that stores v0 and then reuses it still matches the reference.
 func TestExecJITFusionLiveness(t *testing.T) {
 	r := &peac.Routine{
 		Name: "Plive",
@@ -639,27 +476,20 @@ func TestExecJITFusionLiveness(t *testing.T) {
 	}
 	names := []string{"a", "b", "d", "e"}
 	ref := parStore(n, names, fill)
-	if err := ExecRoutine(r, shape.Of(n), ref); err != nil {
-		t.Fatalf("interpreter: %v", err)
+	if err := execRef(r, ref, n); err != nil {
+		t.Fatalf("reference: %v", err)
 	}
 	st := parStore(n, names, fill)
-	if err := execJIT(t, r, st, n, 2); err != nil {
-		t.Fatalf("jit: %v", err)
+	if err := execEngine(r, st, n, 2); err != nil {
+		t.Fatalf("engine: %v", err)
 	}
-	for _, name := range []string{"d", "e"} {
-		for i, want := range ref.Arrays[name].Data {
-			got := st.Arrays[name].Data[i]
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s[%d] = %v, want %v", name, i, got, want)
-			}
-		}
-	}
+	sameStores(t, "liveness", ref, st)
 }
 
 // TestExecJITFusedNumericRecord runs a fusable chain with the numeric
 // record plane active: the fused chain skips intermediate scans, so the
-// engine must fall back to the reference chain and the tallies (and the
-// store) must match the interpreter exactly.
+// engine must fall back to its reference chain and the tallies (and the
+// store) must match the reference interpreter exactly.
 func TestExecJITFusedNumericRecord(t *testing.T) {
 	r := fuseRoutine(peac.FDIVV, peac.FMULV, true)
 	const n = chunkSize + 99
@@ -672,37 +502,20 @@ func TestExecJITFusedNumericRecord(t *testing.T) {
 		}
 		return 0
 	}
-	run := func(jit bool) (*rt.Numeric, *rt.Store) {
-		st := parStore(n, []string{"a", "b", "d"}, fill)
-		num := &rt.Numeric{Mode: rt.NumericRecord}
-		if err := ExecRoutineOpts(context.Background(), r, shape.Of(n), st,
-			ExecOpts{Num: num, Subgrid: 8, PEs: 2048, Workers: 2, JIT: jit}); err != nil {
-			t.Fatalf("jit=%v: %v", jit, err)
-		}
-		return num, st
+	wantSt := parStore(n, []string{"a", "b", "d"}, fill)
+	wantNum := &rt.Numeric{Mode: rt.NumericRecord}
+	if err := refExec(r, shape.Of(n), wantSt, ExecOpts{Num: wantNum, Subgrid: 8, PEs: 2048}); err != nil {
+		t.Fatalf("reference: %v", err)
 	}
-	wantNum, wantSt := run(false)
-	gotNum, gotSt := run(true)
 	if wantNum.Total() == 0 {
 		t.Fatal("record run tallied no exceptional lanes; test inputs are broken")
 	}
-	if gotNum.Total() != wantNum.Total() {
-		t.Fatalf("total tallies: jit %d, interp %d", gotNum.Total(), wantNum.Total())
+	gotSt := parStore(n, []string{"a", "b", "d"}, fill)
+	gotNum := &rt.Numeric{Mode: rt.NumericRecord}
+	if err := ExecRoutineOpts(context.Background(), r, shape.Of(n), gotSt,
+		ExecOpts{Num: gotNum, Subgrid: 8, PEs: 2048, Workers: 2}); err != nil {
+		t.Fatalf("engine: %v", err)
 	}
-	for cl, c := range wantNum.NaN {
-		if gotNum.NaN[cl] != c {
-			t.Fatalf("NaN[%s] = %d, want %d", cl, gotNum.NaN[cl], c)
-		}
-	}
-	for cl, c := range wantNum.Inf {
-		if gotNum.Inf[cl] != c {
-			t.Fatalf("Inf[%s] = %d, want %d", cl, gotNum.Inf[cl], c)
-		}
-	}
-	for i, want := range wantSt.Arrays["d"].Data {
-		got := gotSt.Arrays["d"].Data[i]
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("d[%d] = %v, want %v", i, got, want)
-		}
-	}
+	sameNumeric(t, "fused record", wantNum, gotNum)
+	sameStores(t, "fused record", wantSt, gotSt)
 }

@@ -7,11 +7,14 @@ package cm2
 // single shared fetch buffer meant the second Mem operand of an
 // instruction silently read the first operand's lanes, and an FSTRV
 // with a chained source or mask read whatever the buffer last held.
+// Each runs at a small size against its closed form and at a
+// multi-chunk size against the reference interpreter (ref_test.go),
+// since the engine has its own per-position fetch buffers to get wrong.
 
 import (
 	"context"
 	"errors"
-	"math"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -39,6 +42,26 @@ func parStore(n int, names []string, f func(name string, i int) float64) *rt.Sto
 	return st
 }
 
+// checkChained runs r through the engine at n elements and asserts
+// want(i) lane by lane in array d, then reruns it at a multi-chunk size
+// and asserts the store is bit-identical to the reference interpreter.
+func checkChained(t *testing.T, r *peac.Routine, n int, names []string, fill func(name string, i int) float64, want func(i int) float64, hint string) {
+	t.Helper()
+	st := parStore(n, names, fill)
+	if err := execChecked(t, r, shape.Of(n), st); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if got := st.Arrays["d"].Data[i]; got != want(i) {
+			t.Fatalf("d[%d] = %v, want %v (%s)", i, got, want(i), hint)
+		}
+	}
+	big := 2*chunkSize + 9
+	if err := execChecked(t, r, shape.Of(big), parStore(big, names, fill)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestExecChainedMemMultiOperand is the headline regression: an
 // instruction chaining DISTINCT memory streams in both A and B must
 // read each stream's own lanes. With the old single memBuf, d = a + b
@@ -56,8 +79,7 @@ func TestExecChainedMemMultiOperand(t *testing.T) {
 			{Op: peac.FSTRV, A: peac.V(0), D: peac.M(4)},
 		},
 	}
-	const n = 10
-	st := parStore(n, []string{"a", "b", "d"}, func(name string, i int) float64 {
+	fill := func(name string, i int) float64 {
 		switch name {
 		case "a":
 			return float64(i)
@@ -65,16 +87,9 @@ func TestExecChainedMemMultiOperand(t *testing.T) {
 			return 1000 + float64(i)
 		}
 		return 0
-	})
-	if err := ExecRoutine(r, shape.Of(n), st); err != nil {
-		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		want := float64(i) + (1000 + float64(i))
-		if got := st.Arrays["d"].Data[i]; got != want {
-			t.Fatalf("d[%d] = %v, want %v (stale-buffer bug: chained B read A's lanes)", i, got, want)
-		}
-	}
+	want := func(i int) float64 { return float64(i) + (1000 + float64(i)) }
+	checkChained(t, r, 10, []string{"a", "b", "d"}, fill, want, "stale-buffer bug: chained B read A's lanes")
 }
 
 // TestExecChainedAddend chains the C (fmadd addend) operand alongside a
@@ -93,8 +108,7 @@ func TestExecChainedAddend(t *testing.T) {
 			{Op: peac.FSTRV, A: peac.V(0), D: peac.M(4)},
 		},
 	}
-	const n = 7
-	st := parStore(n, []string{"a", "b", "c", "d"}, func(name string, i int) float64 {
+	fill := func(name string, i int) float64 {
 		switch name {
 		case "a":
 			return float64(i + 1)
@@ -104,16 +118,9 @@ func TestExecChainedAddend(t *testing.T) {
 			return 100 * float64(i)
 		}
 		return 0
-	})
-	if err := ExecRoutine(r, shape.Of(n), st); err != nil {
-		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		want := float64(i+1)*2 + 100*float64(i)
-		if got := st.Arrays["d"].Data[i]; got != want {
-			t.Fatalf("d[%d] = %v, want %v", i, got, want)
-		}
-	}
+	want := func(i int) float64 { return float64(i+1)*2 + 100*float64(i) }
+	checkChained(t, r, 7, []string{"a", "b", "c", "d"}, fill, want, "each chained stream reads its own lanes")
 }
 
 // TestExecFstrvChainedSourceAndMask stores straight from one chained
@@ -131,8 +138,7 @@ func TestExecFstrvChainedSourceAndMask(t *testing.T) {
 			{Op: peac.FSTRV, A: peac.M(2), C: peac.M(3), D: peac.M(4)},
 		},
 	}
-	const n = 9
-	st := parStore(n, []string{"src", "mask", "d"}, func(name string, i int) float64 {
+	fill := func(name string, i int) float64 {
 		switch name {
 		case "src":
 			return 10 + float64(i)
@@ -142,19 +148,14 @@ func TestExecFstrvChainedSourceAndMask(t *testing.T) {
 			return -1
 		}
 		return 0
-	})
-	if err := ExecRoutine(r, shape.Of(n), st); err != nil {
-		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		want := -1.0
+	want := func(i int) float64 {
 		if i%2 == 1 {
-			want = 10 + float64(i)
+			return 10 + float64(i)
 		}
-		if got := st.Arrays["d"].Data[i]; got != want {
-			t.Fatalf("d[%d] = %v, want %v (FSTRV must fetch chained source and mask)", i, got, want)
-		}
+		return -1
 	}
+	checkChained(t, r, 9, []string{"src", "mask", "d"}, fill, want, "FSTRV must fetch chained source and mask")
 }
 
 // TestExecChainedUnboundPointer asserts a chained Mem operand naming an
@@ -172,7 +173,7 @@ func TestExecChainedUnboundPointer(t *testing.T) {
 		},
 	}
 	st := parStore(4, []string{"a", "d"}, func(string, int) float64 { return 1 })
-	err := ExecRoutine(r, shape.Of(4), st)
+	err := execChecked(t, r, shape.Of(4), st)
 	if err == nil || !strings.Contains(err.Error(), "unbound pointer aP9") {
 		t.Fatalf("err = %v, want chained-load unbound pointer error", err)
 	}
@@ -220,32 +221,28 @@ func chunkStore(n int) *rt.Store {
 // TestExecParallelChunkBoundaries runs element counts around every
 // chunk-boundary case (n < chunk, n == chunk, n % chunk != 0, many
 // chunks) across worker counts and asserts the stores are bit-identical
-// to the serial run.
+// to the serial run. TestExecJITChunkBoundaries holds the same sizes
+// against the reference interpreter.
 func TestExecParallelChunkBoundaries(t *testing.T) {
 	r := chunkRoutine()
 	for _, n := range []int{1, 7, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 5} {
-		ref := chunkStore(n)
-		if err := ExecRoutineOpts(context.Background(), r, shape.Of(n), ref, ExecOpts{Workers: 1}); err != nil {
+		serial := chunkStore(n)
+		if err := execEngine(r, serial, n, 1); err != nil {
 			t.Fatalf("n=%d serial: %v", n, err)
 		}
 		for _, workers := range []int{2, 3, 8, -1} {
 			st := chunkStore(n)
-			if err := ExecRoutineOpts(context.Background(), r, shape.Of(n), st, ExecOpts{Workers: workers}); err != nil {
+			if err := execEngine(r, st, n, workers); err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 			}
-			for i, want := range ref.Arrays["d"].Data {
-				got := st.Arrays["d"].Data[i]
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("n=%d workers=%d: d[%d] = %v, want %v (not bit-exact)", n, workers, i, got, want)
-				}
-			}
+			sameStores(t, fmt.Sprintf("n=%d workers=%d", n, workers), serial, st)
 		}
 	}
 }
 
 // TestExecParallelNumericRecordMerge asserts record-mode tallies are
-// identical whatever the worker count: per-worker private planes merge
-// per class.
+// identical whatever the worker count, and equal to the reference's:
+// per-worker private planes merge per class.
 func TestExecParallelNumericRecordMerge(t *testing.T) {
 	r := &peac.Routine{
 		Name: "Pnum",
@@ -288,32 +285,23 @@ func TestExecParallelNumericRecordMerge(t *testing.T) {
 		}
 		return num
 	}
-	ref := run(1)
+	ref := &rt.Numeric{Mode: rt.NumericRecord}
+	if err := refExec(r, shape.Of(n), mk(), ExecOpts{Num: ref, Subgrid: 8, PEs: 2048}); err != nil {
+		t.Fatal(err)
+	}
 	if ref.Total() == 0 {
 		t.Fatal("record run tallied no exceptional lanes; test inputs are broken")
 	}
-	for _, workers := range []int{2, 4, -1} {
-		got := run(workers)
-		for cl, c := range ref.NaN {
-			if got.NaN[cl] != c {
-				t.Errorf("workers=%d: NaN[%s] = %d, want %d", workers, cl, got.NaN[cl], c)
-			}
-		}
-		for cl, c := range ref.Inf {
-			if got.Inf[cl] != c {
-				t.Errorf("workers=%d: Inf[%s] = %d, want %d", workers, cl, got.Inf[cl], c)
-			}
-		}
-		if got.Total() != ref.Total() {
-			t.Errorf("workers=%d: total %d, want %d", workers, got.Total(), ref.Total())
-		}
+	for _, workers := range []int{1, 2, 4, -1} {
+		sameNumeric(t, fmt.Sprintf("workers=%d", workers), ref, run(workers))
 	}
 }
 
 // TestExecParallelTrapLowestElement plants exceptional lanes in two
 // different chunks and asserts every worker count traps on the same,
-// lowest element — the exact error the serial executor returns —
-// regardless of which worker finishes first.
+// lowest element — the exact error the serial executor and the
+// reference interpreter return — regardless of which worker finishes
+// first.
 func TestExecParallelTrapLowestElement(t *testing.T) {
 	r := &peac.Routine{
 		Name: "Ptrap",
@@ -353,6 +341,10 @@ func TestExecParallelTrapLowestElement(t *testing.T) {
 	wantElem := "element " + itoaTest(chunkSize+123)
 	if !strings.Contains(ref.Error(), wantElem) {
 		t.Fatalf("serial trap error %q does not name the lowest exceptional %s", ref, wantElem)
+	}
+	num := &rt.Numeric{Mode: rt.NumericTrap}
+	if err := refExec(r, shape.Of(n), mk(), ExecOpts{Num: num, Subgrid: 8, PEs: 4096}); err == nil || err.Error() != ref.Error() {
+		t.Fatalf("reference trap error %q, want engine error %q", err, ref)
 	}
 	for _, workers := range []int{2, 8, -1} {
 		err := run(workers)

@@ -1,17 +1,24 @@
 package cm2
 
-// The compiled executor: each peac.Routine is translated once into a
-// chain of specialized Go closures — one kernel per instruction, with
-// operand kinds (VReg/SReg/SpillSlot/chained Mem), masks, IntOp
-// variants, and comparison predicates all resolved at build time — and
-// the chain is dispatched per 4096-element chunk from the same sharded
-// worker pool as the interpreter (ExecRoutineOpts). This is the paper's
-// dispatch-amortization story made real: the per-element work is a
-// handful of tight monomorphic loops over []float64 lanes instead of an
-// instruction-by-instruction switch with per-element operand dispatch.
+// The PEAC executor: each peac.Routine is translated once into a chain
+// of specialized Go closures — one kernel per instruction, with operand
+// kinds (VReg/SReg/SpillSlot/chained Mem), masks, IntOp variants, and
+// comparison predicates all resolved at build time — and the chain is
+// dispatched per 4096-element chunk from the sharded worker pool in
+// ExecRoutineOpts. This is the paper's dispatch-amortization story made
+// real: the per-element work is a handful of tight monomorphic loops
+// over []float64 lanes instead of an instruction-by-instruction switch
+// with per-element operand dispatch.
 //
-// The compiled path is bit-exact against the interpreter by
-// construction:
+// Every routine compiles to a reference chain, one kernel per
+// instruction in program order, and, when the planner finds something
+// to do, an opt chain (dead-load elimination, pair fusion, store
+// sinking). Which chain a dispatch runs is decided from what the
+// dispatch can observe — whether the bound arrays alias, their element
+// kinds, and whether the numeric plane is active — never from a user
+// option. Both chains are bit-exact against the reference interpreter
+// that lives in this package's tests (ref_test.go), a direct
+// instruction-by-instruction switch over the PEAC ISA:
 //
 //   - Every lane loop evaluates the identical float64 expression the
 //     interpreter's corresponding case evaluates, in the same element
@@ -19,7 +26,7 @@ package cm2
 //     into chunk-sized buffers, which reads the same values the
 //     interpreter's broadcast accessor returns.
 //   - Modeled cycles are computed analytically in Machine.dispatch
-//     before any execution, so the JIT cannot change them.
+//     before any execution, so the executor cannot change them.
 //   - Error strings are byte-identical: unbound-pointer operands are
 //     statically known from the routine's parameter list, so they
 //     compile to error kernels that fire at the same instruction
@@ -31,9 +38,10 @@ package cm2
 //     lanes; the class string, mnemonic, and can-trap gate are merely
 //     precomputed per instruction instead of per chunk.
 //
-// The interpreter remains the oracle's reference path; the JIT is
-// selected per run (ExecOpts.JIT / Control.ExecJIT) and is gated behind
-// the three-way differential oracle and the fault-invariance soak.
+// The tests hold the differential: per-routine cases against the
+// reference, and whole programs (every internal/workload kernel on both
+// machine shapes) run once through Machine.RunCtx and once through
+// hostvm with the reference dispatching, compared bit for bit.
 
 import (
 	"errors"

@@ -68,13 +68,6 @@ type Control struct {
 	// changes. The analytic cycle model is computed before dispatch and
 	// is untouched by the fan-out.
 	ExecWorkers int
-	// ExecJIT selects the compiled executor for every routine dispatch:
-	// each PEAC routine is translated once into specialized Go closures
-	// (see cm2/jit.go) instead of being interpreted per chunk. Results,
-	// error strings, modeled cycles, and numeric tallies are
-	// bit-identical to the interpreter under every ExecWorkers value;
-	// only simulator wall-clock changes.
-	ExecJIT bool
 }
 
 // Machine is one CM/2 configuration.
@@ -218,17 +211,16 @@ func (m *Machine) RunCtx(ctx context.Context, prog *fe.Program, store *rt.Store,
 		PELineCycles:    map[rt.LineRef]float64{},
 	}
 
+	// xo is the run's executor template; dispatch fills in each
+	// routine's subgrid.
+	xo := ExecOpts{PEs: m.PEs, Rec: rec}
 	var inj *faults.Injector
-	var num *rt.Numeric
 	var hctl *hostvm.Ctl
-	workers := 0
-	jit := false
 	if ctl != nil {
 		inj = ctl.Faults
-		num = ctl.Numeric
-		res.Numeric = num
-		workers = ctl.ExecWorkers
-		jit = ctl.ExecJIT
+		xo.Num = ctl.Numeric
+		xo.Workers = ctl.ExecWorkers
+		res.Numeric = ctl.Numeric
 		comm.Faults = inj
 		hctl = &hostvm.Ctl{Faults: inj, CheckpointEvery: ctl.CheckpointEvery, MaxCycles: ctl.MaxCycles}
 		if ctl.MaxCycles > 0 {
@@ -248,7 +240,7 @@ func (m *Machine) RunCtx(ctx context.Context, prog *fe.Program, store *rt.Store,
 
 	hooks := hostvm.Hooks{
 		Dispatch: func(r *peac.Routine, over shape.Shape) error {
-			return m.dispatch(ctx, r, over, store, res, rec, inj, num, workers, jit)
+			return m.dispatch(ctx, r, over, store, res, inj, xo)
 		},
 		Comm: func(mv nir.Move) error { return comm.ExecMove(mv) },
 	}
@@ -291,8 +283,13 @@ func snapshot(store *rt.Store, vm *hostvm.VM, comm *rt.Comm, res *Result, next i
 
 // resume restores a snapshot into the store, the comm layer, the
 // result accumulators, and the host control plane, so the continued
-// run picks up every total where the snapshot left it.
+// run picks up every total where the snapshot left it. A snapshot
+// taken on another machine model is rejected: its cycle totals belong
+// to a different cost model.
 func resume(ck *rt.Checkpoint, store *rt.Store, comm *rt.Comm, res *Result, hctl *hostvm.Ctl) error {
+	if ck.Machine != "cm2" {
+		return fmt.Errorf("cm2: resume: checkpoint taken on machine %q: %w", ck.Machine, rt.ErrCkptCorrupt)
+	}
 	tot, err := rt.ResumeBoundary(ck, store, comm)
 	if err != nil {
 		return fmt.Errorf("cm2: resume: %w", err)
@@ -341,9 +338,11 @@ func (res *Result) emit(rec obs.Recorder) {
 }
 
 // dispatch runs one PEAC routine over its shape, charging the cycle model
-// and executing it functionally over the stored arrays, optionally
-// sharded across a chunk worker pool (Control.ExecWorkers).
-func (m *Machine) dispatch(ctx context.Context, r *peac.Routine, over shape.Shape, store *rt.Store, res *Result, rec obs.Recorder, inj *faults.Injector, num *rt.Numeric, workers int, jit bool) error {
+// and executing it functionally over the stored arrays under the run's
+// executor template xo, which carries the numeric plane, the chunk
+// worker pool size (Control.ExecWorkers), and the recorder; dispatch
+// sets only the routine's subgrid.
+func (m *Machine) dispatch(ctx context.Context, r *peac.Routine, over shape.Shape, store *rt.Store, res *Result, inj *faults.Injector, xo ExecOpts) error {
 	if over == nil {
 		return fmt.Errorf("cm2: node routine %s without a shape: %w", r.Name, ErrDispatch)
 	}
@@ -373,8 +372,9 @@ func (m *Machine) dispatch(ctx context.Context, r *peac.Routine, over shape.Shap
 	}
 	res.Flops += int64(r.FlopsPerIteration()) * int64(itersPerPE) * int64(layout.PEsUsed())
 	res.NodeCalls++
-	obs.Observe(rec, "cm2/dispatch-cycles", cyc)
-	return ExecRoutineOpts(ctx, r, over, store, ExecOpts{Num: num, Subgrid: sub, PEs: m.PEs, Workers: workers, Rec: rec, JIT: jit})
+	obs.Observe(xo.Rec, "cm2/dispatch-cycles", cyc)
+	xo.Subgrid = sub
+	return ExecRoutineOpts(ctx, r, over, store, xo)
 }
 
 // injectDispatch applies the fault plane to one node dispatch. A PE

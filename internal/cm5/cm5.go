@@ -126,17 +126,16 @@ func (m *Machine) RunCtx(ctx context.Context, prog *fe.Program, rec obs.Recorder
 	res.PERoutineCycles = map[string]float64{}
 	res.PELineCycles = map[rt.LineRef]float64{}
 
+	// xo is the run's executor template; dispatch fills in each
+	// routine's node subgrid.
+	xo := cm2.ExecOpts{PEs: m.Nodes, Rec: rec}
 	var inj *faults.Injector
-	var num *rt.Numeric
 	var hctl *hostvm.Ctl
-	workers := 0
-	jit := false
 	if ctl != nil {
 		inj = ctl.Faults
-		num = ctl.Numeric
-		res.Numeric = num
-		workers = ctl.ExecWorkers
-		jit = ctl.ExecJIT
+		xo.Num = ctl.Numeric
+		xo.Workers = ctl.ExecWorkers
+		res.Numeric = ctl.Numeric
 		comm.Faults = inj
 		hctl = &hostvm.Ctl{Faults: inj, CheckpointEvery: ctl.CheckpointEvery, MaxCycles: ctl.MaxCycles}
 		if ctl.MaxCycles > 0 {
@@ -158,7 +157,7 @@ func (m *Machine) RunCtx(ctx context.Context, prog *fe.Program, rec obs.Recorder
 
 	hooks := hostvm.Hooks{
 		Dispatch: func(r *peac.Routine, over shape.Shape) error {
-			return m.dispatch(ctx, r, over, store, res, rec, inj, num, workers, jit)
+			return m.dispatch(ctx, r, over, store, res, inj, xo)
 		},
 		Comm: func(mv nir.Move) error { return comm.ExecMove(mv) },
 	}
@@ -212,8 +211,14 @@ func (m *Machine) snapshot(store *rt.Store, vm *hostvm.VM, comm *rt.Comm, res *R
 	return ck
 }
 
-// resume restores a snapshot into the store and accumulators.
+// resume restores a snapshot into the store and accumulators. A
+// snapshot taken on another machine model is rejected: it carries no
+// three-way node split, and its cycle totals belong to a different
+// cost model.
 func (m *Machine) resume(ck *rt.Checkpoint, store *rt.Store, comm *rt.Comm, res *Result, hctl *hostvm.Ctl) error {
+	if ck.Machine != "cm5" {
+		return fmt.Errorf("cm5: resume: checkpoint taken on machine %q: %w", ck.Machine, rt.ErrCkptCorrupt)
+	}
 	tot, err := rt.ResumeBoundary(ck, store, comm)
 	if err != nil {
 		return fmt.Errorf("cm5: resume: %w", err)
@@ -263,8 +268,9 @@ func (res *Result) emitObs(rec obs.Recorder) {
 // dispatch is the three-way split's node half: the control processor has
 // already broadcast the block (host side); here each node's SPARC unpacks
 // arguments and drives its four vector units over a quarter of the node
-// subgrid each.
-func (m *Machine) dispatch(ctx context.Context, r *peac.Routine, over shape.Shape, store *rt.Store, res *Result, rec obs.Recorder, inj *faults.Injector, num *rt.Numeric, workers int, jit bool) error {
+// subgrid each. xo is the run's executor template (numeric plane,
+// worker pool, recorder); dispatch sets only the node subgrid.
+func (m *Machine) dispatch(ctx context.Context, r *peac.Routine, over shape.Shape, store *rt.Store, res *Result, inj *faults.Injector, xo cm2.ExecOpts) error {
 	if over == nil {
 		return fmt.Errorf("cm5: node routine %s without a shape: %w", r.Name, cm2.ErrDispatch)
 	}
@@ -318,6 +324,6 @@ func (m *Machine) dispatch(ctx context.Context, r *peac.Routine, over shape.Shap
 	res.Flops += int64(r.FlopsPerIteration()) * int64(itersPerVU) * int64(layout.PEsUsed()*m.VUsPerNode)
 	res.NodeCalls++
 	res.PECycles = res.VUCycles + res.SPARCCycles + res.DegradeCycles
-	return cm2.ExecRoutineOpts(ctx, r, over, store,
-		cm2.ExecOpts{Num: num, Subgrid: nodeSub, PEs: m.Nodes, Workers: workers, Rec: rec, JIT: jit})
+	xo.Subgrid = nodeSub
+	return cm2.ExecRoutineOpts(ctx, r, over, store, xo)
 }

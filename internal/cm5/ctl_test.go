@@ -2,6 +2,7 @@ package cm5
 
 import (
 	"errors"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -155,6 +156,75 @@ func TestCM5NodeKillDegrades(t *testing.T) {
 	for name, arr := range clean.Store.Arrays {
 		if !reflect.DeepEqual(arr.Data, degraded.Store.Arrays[name].Data) {
 			t.Errorf("array %q differs under degradation", name)
+		}
+	}
+}
+
+// TestResumeRejectsMalformedCheckpoint: a checkpoint that passes its
+// integrity check but was not written by this program on this machine
+// model — a resume position outside the program, a mid-loop position on
+// an op that is not a serial DO or past the loop's bounds, or a
+// snapshot from the other back end — is rejected with an error wrapping
+// rt.ErrCkptCorrupt on both back ends. It must never panic, and never
+// "succeed" having run a truncated program.
+func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
+	prog := compileCtl(t)
+	doOp, plainOp := -1, -1
+	for i, op := range prog.Ops {
+		if _, ok := op.(fe.DoSerial); ok {
+			doOp = i
+		} else if plainOp < 0 {
+			plainOp = i
+		}
+	}
+	if doOp < 0 || plainOp < 0 {
+		t.Fatalf("test program needs a top-level serial DO and another op: %d ops", len(prog.Ops))
+	}
+	backends := []struct {
+		name, other string
+		run         func(ctl *cm2.Control) error
+	}{
+		{"cm2", "cm5", func(ctl *cm2.Control) error { _, err := cm2.Default().RunCtl(prog, nil, nil, ctl); return err }},
+		{"cm5", "cm2", func(ctl *cm2.Control) error { _, err := Default().RunCtl(prog, nil, ctl); return err }},
+	}
+	cases := []struct {
+		name   string
+		mutate func(ck *rt.Checkpoint, other string)
+	}{
+		{"next-op-negative", func(ck *rt.Checkpoint, _ string) { ck.NextOp, ck.InLoop = -1, false }},
+		{"next-op-past-end", func(ck *rt.Checkpoint, _ string) { ck.NextOp, ck.InLoop = len(prog.Ops)+5, false }},
+		{"foreign-machine", func(ck *rt.Checkpoint, other string) { ck.Machine = other }},
+		{"in-loop-not-a-do", func(ck *rt.Checkpoint, _ string) { ck.NextOp, ck.InLoop, ck.IterDone = plainOp, true, 1 }},
+		{"in-loop-at-end", func(ck *rt.Checkpoint, _ string) { ck.NextOp, ck.InLoop, ck.IterDone = len(prog.Ops), true, 1 }},
+		{"in-loop-iteration-out-of-range", func(ck *rt.Checkpoint, _ string) { ck.NextOp, ck.InLoop, ck.IterDone = doOp, true, 99 }},
+	}
+	for _, be := range backends {
+		var first *rt.Checkpoint
+		if err := be.run(&cm2.Control{CheckpointEvery: 1, Checkpoint: func(ck *rt.Checkpoint) error {
+			if first == nil {
+				first = ck
+			}
+			return nil
+		}}); err != nil {
+			t.Fatalf("%s: checkpointed run: %v", be.name, err)
+		}
+		for _, tc := range cases {
+			// Round-trip through the file format, so the resumed snapshot
+			// is one that passed the CRC check exactly as -resume reads it.
+			ck := *first
+			tc.mutate(&ck, be.other)
+			path := filepath.Join(t.TempDir(), "ck.json")
+			if err := ck.Write(path); err != nil {
+				t.Fatal(err)
+			}
+			read, err := rt.ReadCheckpoint(path)
+			if err != nil {
+				t.Fatalf("%s/%s: CRC-valid checkpoint rejected on read: %v", be.name, tc.name, err)
+			}
+			err = be.run(&cm2.Control{Resume: read})
+			if !errors.Is(err, rt.ErrCkptCorrupt) {
+				t.Errorf("%s/%s: resume returned %v, want an error wrapping rt.ErrCkptCorrupt", be.name, tc.name, err)
+			}
 		}
 	}
 }

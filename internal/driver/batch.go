@@ -103,11 +103,6 @@ func (s *Service) Run(ctx context.Context, job Job) RunResult {
 		c.ExecWorkers = s.ExecWorkers
 		ctl = c
 	}
-	if s.ExecJIT && (ctl == nil || !ctl.ExecJIT) {
-		c := clone()
-		c.ExecJIT = true
-		ctl = c
-	}
 	switch job.Target {
 	case "", "cm2":
 		m := job.Config.Machine

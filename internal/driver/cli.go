@@ -39,7 +39,6 @@ type ControlOptions struct {
 	MaxCycles       float64 // -max-cycles watchdog budget (0 = off)
 	Numeric         string  // -numeric off|trap|record ("" = off)
 	ExecWorkers     int     // -exec-workers executor sharding (0/1 = serial, <0 = GOMAXPROCS)
-	ExecJIT         bool    // -exec-jit compiled executor (bit-identical; wall-clock only)
 }
 
 // Build assembles the execution control plane for a run of file,
@@ -59,7 +58,7 @@ func (o ControlOptions) Build(file string, rec obs.Recorder) (*cm2.Control, erro
 		workers = 0 // explicit serial: same zero-overhead path as unset
 	}
 	if plan == nil && o.CheckpointEvery == 0 && o.ResumePath == "" &&
-		o.MaxCycles == 0 && numMode == rt.NumericOff && workers == 0 && !o.ExecJIT {
+		o.MaxCycles == 0 && numMode == rt.NumericOff && workers == 0 {
 		return nil, nil
 	}
 	ctl := &cm2.Control{
@@ -68,7 +67,6 @@ func (o ControlOptions) Build(file string, rec obs.Recorder) (*cm2.Control, erro
 		MaxCycles:       o.MaxCycles,
 		Numeric:         rt.NewNumeric(numMode),
 		ExecWorkers:     workers,
-		ExecJIT:         o.ExecJIT,
 	}
 	if o.CheckpointEvery > 0 {
 		path := CheckpointPath(file, o.CheckpointPath)

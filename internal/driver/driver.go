@@ -123,14 +123,6 @@ type Service struct {
 	// Run/RunBatch call; it is read concurrently afterwards.
 	ExecWorkers int
 
-	// ExecJIT is the service-wide default for the compiled PEAC
-	// executor (cm2.Control.ExecJIT), applied to every run whose job
-	// does not set its own control plane's flag. It is a runtime
-	// choice, deliberately not part of the compile-cache fingerprint:
-	// the cached artifact is engine-independent. Set before the first
-	// Run/RunBatch call; it is read concurrently afterwards.
-	ExecJIT bool
-
 	// MaxCacheEntries and MaxCacheBytes bound the compile cache:
 	// entries beyond either bound are evicted least-recently-used.
 	// Zero leaves that dimension unbounded (the CLI default — a batch

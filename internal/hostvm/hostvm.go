@@ -230,6 +230,9 @@ func (vm *VM) execTop(ops []fe.Op) error {
 	if vm.ctl == nil {
 		return vm.exec(ops)
 	}
+	if err := vm.ctl.checkResume(ops); err != nil {
+		return err
+	}
 	for i := vm.ctl.ResumeOp; i < len(ops); i++ {
 		op := ops[i]
 		if ds, ok := op.(fe.DoSerial); ok {
@@ -252,6 +255,35 @@ func (vm *VM) execTop(ops []fe.Op) error {
 		if err := vm.boundary(i+1, false, 0); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkResume rejects a resume position this program cannot have
+// written: an op index outside [0, len(ops)], or a mid-loop position on
+// an op that is not a serial DO or at an iteration outside its bounds.
+// Such a snapshot may pass its integrity check and still be foreign to
+// the program, so it is reported as corrupt rather than run (a negative
+// index would panic; one past the end would "succeed" having run
+// nothing).
+func (c *Ctl) checkResume(ops []fe.Op) error {
+	if c.ResumeOp < 0 || c.ResumeOp > len(ops) {
+		return fmt.Errorf("hostvm: resume at op %d of a %d-op program: %w", c.ResumeOp, len(ops), rt.ErrCkptCorrupt)
+	}
+	if !c.ResumeInLoop {
+		return nil
+	}
+	var ds fe.DoSerial
+	ok := c.ResumeOp < len(ops)
+	if ok {
+		ds, ok = ops[c.ResumeOp].(fe.DoSerial)
+	}
+	if !ok {
+		return fmt.Errorf("hostvm: resume inside op %d, which is not a serial DO: %w", c.ResumeOp, rt.ErrCkptCorrupt)
+	}
+	if iv, isIv := ds.S.(shape.Interval); isIv && (c.ResumeIter < iv.Lo || c.ResumeIter > iv.Hi) {
+		return fmt.Errorf("hostvm: resume after iteration %d of op %d's DO %d..%d: %w",
+			c.ResumeIter, c.ResumeOp, iv.Lo, iv.Hi, rt.ErrCkptCorrupt)
 	}
 	return nil
 }

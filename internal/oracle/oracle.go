@@ -67,12 +67,6 @@ type Options struct {
 	// sharded executor is bit-exact, the cm2-vs-cm5 0-ULP check and the
 	// interpreter tolerance are unchanged.
 	ExecWorkers int
-	// ExecJIT runs each machine backend's routines through the compiled
-	// closure executor instead of the PEAC interpreter. The JIT is
-	// bit-exact by construction, so the tolerances are unchanged — and
-	// running the oracle with it on is exactly how that construction is
-	// gated: the AST interpreter reference path never uses the JIT.
-	ExecJIT bool
 	// InterpSteps bounds the interpreter (interp.ErrSteps on overrun);
 	// zero means the interpreter's default backstop.
 	InterpSteps int
@@ -146,10 +140,10 @@ func Verify(file, src string, o Options) (*Report, error) {
 		return nil, fmt.Errorf("oracle: interp: %w", err)
 	}
 	ctl := func() *cm2.Control {
-		if o.MaxCycles <= 0 && o.ExecWorkers == 0 && !o.ExecJIT {
+		if o.MaxCycles <= 0 && o.ExecWorkers == 0 {
 			return nil
 		}
-		return &cm2.Control{MaxCycles: o.MaxCycles, ExecWorkers: o.ExecWorkers, ExecJIT: o.ExecJIT}
+		return &cm2.Control{MaxCycles: o.MaxCycles, ExecWorkers: o.ExecWorkers}
 	}
 	m2 := o.Machine
 	if m2 == nil {
@@ -206,8 +200,8 @@ type state struct {
 	name    string
 	order   []string // declaration order, arrays then scalars
 	arrays  map[string][]float64
-	exts    map[string][]int // extents per array, for coordinate reports
-	los     map[string][]int // declared lower bounds per array
+	exts    map[string][]int  // extents per array, for coordinate reports
+	los     map[string][]int  // declared lower bounds per array
 	kinds   map[string]string // real, int, logical
 	scalars map[string]float64
 	out     []string

@@ -51,25 +51,22 @@ func TestVerifyAgreesOnWorkloads(t *testing.T) {
 }
 
 // TestVerifyShardedExecutor: differential verification holds with the
-// sharded executor active on both machine backends, under BOTH engines
-// (the instruction interpreter and the compiled closure chain). The
-// grid is sized so every field straddles the executor's chunk boundary
-// (70x70 = 4900 elements > one 4096-element chunk), exercising
-// cross-chunk sharding against the serial interpreter.
+// PEAC engine serial and sharded on both machine backends. The grid is
+// sized so every field straddles the executor's chunk boundary (70x70 =
+// 4900 elements > one 4096-element chunk), exercising cross-chunk
+// sharding against the AST interpreter.
 func TestVerifyShardedExecutor(t *testing.T) {
-	for _, jit := range []bool{false, true} {
-		for _, workers := range []int{2, -1} {
-			rep, err := Verify("swe.f90", workload.SWE(70, 2), Options{ExecWorkers: workers, ExecJIT: jit})
-			if err != nil {
-				t.Errorf("jit=%v workers=%d: %v", jit, workers, err)
-				continue
-			}
-			if rep.Divergence != nil {
-				t.Errorf("jit=%v workers=%d: unexpected divergence %s", jit, workers, rep.Divergence)
-			}
-			if rep.Vars == 0 || rep.Elems == 0 {
-				t.Errorf("jit=%v workers=%d: nothing compared (vars=%d elems=%d)", jit, workers, rep.Vars, rep.Elems)
-			}
+	for _, workers := range []int{0, 2, 4, -1} {
+		rep, err := Verify("swe.f90", workload.SWE(70, 2), Options{ExecWorkers: workers})
+		if err != nil {
+			t.Errorf("workers=%d: %v", workers, err)
+			continue
+		}
+		if rep.Divergence != nil {
+			t.Errorf("workers=%d: unexpected divergence %s", workers, rep.Divergence)
+		}
+		if rep.Vars == 0 || rep.Elems == 0 {
+			t.Errorf("workers=%d: nothing compared (vars=%d elems=%d)", workers, rep.Vars, rep.Elems)
 		}
 	}
 }

@@ -63,10 +63,6 @@ type Config struct {
 	MaxCycles float64
 	// ExecWorkers is the service-default executor sharding (0 = serial).
 	ExecWorkers int
-	// ExecJIT selects the compiled closure executor for every job; a
-	// runtime choice, so cached artifacts are shared with interpreter
-	// instances and results stay bit-identical either way.
-	ExecJIT bool
 	// Quotas are the per-tenant bounds; the zero value applies the
 	// defaults of DefaultQuotas.
 	Quotas Quotas
@@ -232,7 +228,6 @@ func New(cfg Config) (*Server, error) {
 	svc := driver.New(cfg.Workers)
 	svc.MaxCycles = cfg.MaxCycles
 	svc.ExecWorkers = cfg.ExecWorkers
-	svc.ExecJIT = cfg.ExecJIT
 	svc.MaxCacheEntries = cfg.CacheEntries
 	svc.MaxCacheBytes = cfg.CacheBytes
 
